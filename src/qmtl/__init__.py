@@ -1,6 +1,7 @@
 """Parameter-efficient multi-task learning heads built from shallow
-variational quantum circuits, with a statevector simulator, parameter-shift
-gradients, noise-trajectory evaluation, and a training/experiment CLI.
+variational quantum circuits, with a statevector simulator, adjoint-state
+training gradients checked against parameter-shift and finite-difference
+oracles, noise-trajectory evaluation, and a training/experiment CLI.
 """
 
 from .errors import (
@@ -59,6 +60,7 @@ from .model import (
     scaling_table,
 )
 from .gradients import (
+    adjoint_vjp,
     finite_diff_jacobian,
     input_shift_jacobian_batch,
     loss_gradient,

@@ -186,14 +186,8 @@ def expectation_of_amps(amps: np.ndarray, obs: PauliString, num_qubits: int):
     return sv.expectation_array(amps, obs.as_dict(), num_qubits)
 
 
-def evaluate_expectations_batch(
-    circuit: Circuit,
-    theta: Sequence[float],
-    features: np.ndarray,
-    observables: Sequence[PauliString],
-    override: Optional[dict] = None,
-) -> np.ndarray:
-    """Expectations for a batch of feature rows; returns (B, n_observables)."""
+def batch_zero_state(circuit: Circuit, theta: Sequence[float], features: np.ndarray) -> tuple:
+    """Checked (theta, features) bindings and one |0...0> row per feature row."""
     theta = np.asarray(theta, dtype=float)
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[1] != circuit.num_inputs:
@@ -204,9 +198,21 @@ def evaluate_expectations_batch(
         raise ValueError(
             f"expected {circuit.num_trainable} trainable values, got shape {theta.shape}"
         )
-    bsize = features.shape[0]
-    amps = np.zeros((bsize, 1 << circuit.num_qubits), dtype=complex)
+    amps = np.zeros((features.shape[0], 1 << circuit.num_qubits), dtype=complex)
     amps[:, 0] = 1.0
+    return theta, features, amps
+
+
+def evaluate_expectations_batch(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    override: Optional[dict] = None,
+) -> np.ndarray:
+    """Expectations for a batch of feature rows; returns (B, n_observables)."""
+    theta, features, amps = batch_zero_state(circuit, theta, features)
+    bsize = features.shape[0]
     amps = _run(amps, circuit, theta, features, override=override)
     out = np.empty((bsize, len(observables)))
     for i, obs in enumerate(observables):

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import __version__
 from .circuit import random_circuit
 from .data import SyntheticSpec, gen_synthetic
 from .errors import ConfigError, QmtlError
-from .gradients import SHIFT, finite_diff_jacobian, param_shift_jacobian
+from .gradients import SHIFT, adjoint_vjp, finite_diff_jacobian, param_shift_jacobian
 from .losses import TaskSpec
 from .model import (
     Calibration,
@@ -196,8 +197,13 @@ def read_checkpoint(path: Path) -> dict:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"checkpoint {path}: top level must be an object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')!r}")
+    missing = [key for key in ("seed", "num_params", "params", "config") if key not in payload]
+    if missing:
+        raise ConfigError(f"checkpoint {path} is missing {', '.join(missing)}")
     if len(payload["params"]) != payload["num_params"]:
         raise ConfigError("checkpoint is corrupt: parameter count mismatch")
     return payload
@@ -295,24 +301,33 @@ def _gradcheck_observables(num_qubits: int, rng) -> list:
     return obs
 
 
+def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
 def cmd_gradcheck(args) -> int:
+    """Parameter shift (max_dev) and the adjoint training gradient with random
+    observable weights (adjoint_dev), each against finite differences."""
     if args.qubits > 8:
         raise ConfigError("gradcheck supports at most 8 qubits")
     shift = SHIFT * (1.01 if args.corrupt_shift else 1.0)
     seeds = _parse_int_list(args.seeds)
-    print("seed\tmax_dev\tstatus")
+    print("seed\tmax_dev\tadjoint_dev\tstatus")
     ok = True
     for seed in seeds:
         rng = np.random.default_rng(seed)
         circuit = random_circuit(args.qubits, args.depth, rng)
         theta = rng.uniform(0.0, 2 * np.pi, circuit.num_trainable)
         observables = _gradcheck_observables(args.qubits, rng)
+        weights = rng.normal(size=(1, len(observables)))
         analytic = param_shift_jacobian(circuit, theta, (), observables, shift=shift)
         numeric = finite_diff_jacobian(circuit, theta, (), observables)
-        dev = float(np.max(np.abs(analytic - numeric))) if analytic.size else 0.0
-        passed = dev <= GRADCHECK_TOL
+        _, adjoint, _ = adjoint_vjp(circuit, theta, np.zeros((1, 0)), observables, weights)
+        dev = _max_dev(analytic, numeric)
+        adjoint_dev = _max_dev(adjoint, weights[0] @ numeric)
+        passed = dev <= GRADCHECK_TOL and adjoint_dev <= GRADCHECK_TOL
         ok &= passed
-        print(f"{seed}\t{dev:.3e}\t{'pass' if passed else 'FAIL'}")
+        print(f"{seed}\t{dev:.3e}\t{adjoint_dev:.3e}\t{'pass' if passed else 'FAIL'}")
     return 0 if ok else 2
 
 
@@ -351,19 +366,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _noise_from_args(args, seed: int):
-    if args.p1 == 0.0 and args.p2 == 0.0:
-        return None
-    return NoiseSpec(p1=args.p1, p2=args.p2,
-                     num_trajectories=args.trajectories, seed=seed)
+def _noise_spec(p1: float, p2: float, trajectories: int, seed: int):
+    """The NoiseSpec of the noise flags, None when both probabilities are 0."""
+    try:
+        noise = NoiseSpec(p1=p1, p2=p2, num_trajectories=trajectories, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid noise settings: {exc}")
+    return None if p1 == 0.0 and p2 == 0.0 else noise
 
 
 def cmd_eval(args) -> int:
+    if args.shots is not None and args.shots < 1:
+        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
     checkpoint = read_checkpoint(Path(args.checkpoint))
     config = checkpoint["config"] if args.config is None and args.preset is None \
         else load_config(args)
     specs = task_specs_from(config)
     seed = args.seed if args.seed is not None else checkpoint["seed"]
+    noise = _noise_spec(args.p1, args.p2, args.trajectories, seed)
     head_model = head_model_from(config, specs)
     if head_model.num_params != checkpoint["num_params"]:
         raise ConfigError(
@@ -373,7 +393,7 @@ def cmd_eval(args) -> int:
     params = np.array(checkpoint["params"], dtype=float)
     _, val_data = gen_synthetic(data_spec_from(config, specs))
     logits = eval_logits(head_model, params, val_data.features,
-                         shots=args.shots, noise=_noise_from_args(args, seed),
+                         shots=args.shots, noise=noise,
                          seed=seed)
     report = report_from_logits(logits, val_data.labels, specs)
     summary = run_report(config, report, specs, seed, extra={
@@ -462,6 +482,8 @@ def cmd_sweep(args) -> int:
     rows = []
     if args.kind == "noise":
         grid = _parse_float_list(args.grid) if args.grid else [0.0, 0.01, 0.05, 0.1, 0.2]
+        # checked before any training; each seed gets its own noise stream
+        noises = [_noise_spec(p, p, args.trajectories, 0) for p in grid]
         for seed in seeds:
             if args.checkpoint is not None:
                 checkpoint = read_checkpoint(Path(args.checkpoint))
@@ -477,11 +499,9 @@ def cmd_sweep(args) -> int:
                 raise ConfigError("checkpoint/config mismatch in noise sweep")
             _, val_data = gen_synthetic(data_spec_from(config, specs))
             budget = budget_dict(config, specs)
-            for p in grid:
-                if min(p, 1.0 - p) < 0:
-                    raise ConfigError(f"noise probability {p} outside [0, 1]")
-                noise = None if p == 0.0 else NoiseSpec(
-                    p1=p, p2=p, num_trajectories=args.trajectories, seed=seed)
+            for p, noise in zip(grid, noises):
+                if noise is not None:
+                    noise = replace(noise, seed=seed)
                 logits = eval_logits(head_model, params, val_data.features,
                                      noise=noise, seed=seed)
                 report = report_from_logits(logits, val_data.labels, specs)
@@ -561,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("gradcheck",
-                       help="compare parameter-shift gradients to finite differences")
+                       help="compare parameter-shift and adjoint gradients to "
+                            "finite differences")
     p.add_argument("--qubits", type=int, default=4)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--seeds", default="0,1,2,3,4",

@@ -1,9 +1,15 @@
-"""Exact gradients of observable expectations via the parameter-shift rule,
-plus a central finite-difference oracle and the batch loss chain rule.
+"""Circuit gradients: the adjoint-state vector-Jacobian product that training
+uses, and the independent oracles that check it.
+
+Training differentiates the circuit with ``adjoint_vjp``: one forward run,
+then one reverse sweep that un-computes the state gate by gate, so its cost
+does not grow with the number of parameters.  The parameter-shift
+Jacobians (exact for Pauli rotations, and runnable on hardware) and central
+finite differences stay as oracles for ``qmtl gradcheck`` and the tests.
 
 A trainable index referenced by m gate occurrences is differentiated by
-shifting one occurrence at a time by +-pi/2 and summing (product rule);
-parameter reuse in the shared encoder makes this the general case.
+summing over its occurrences (product rule); parameter reuse in the shared
+encoder makes this the general case.
 """
 
 from __future__ import annotations
@@ -12,11 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import statevector as sv
 from .circuit import (
     Circuit,
     ROTATION_KINDS,
+    _resolve,
+    _run,
+    batch_zero_state,
     evaluate_expectations,
     evaluate_expectations_batch,
+    expectation_of_amps,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
 from .statevector import PauliString
@@ -106,7 +117,7 @@ def finite_diff_jacobian(
     observables: Sequence[PauliString],
     eps: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference oracle, independent of the parameter-shift path."""
+    """Central-difference oracle, independent of the shift and adjoint paths."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     theta = np.asarray(theta, dtype=float)
@@ -121,6 +132,106 @@ def finite_diff_jacobian(
         minus = evaluate_expectations(circuit, down, features, observables)
         jac[:, j] = (plus - minus) / (2.0 * eps)
     return jac
+
+
+# the Pauli rotations each gate is made of, in the order they act, as
+# (kind, generator, parameter slot); rot(a, b, g) = rz(g) ry(b) rz(a)
+_FACTORS = {
+    "rx": (("rx", "X", 0),),
+    "ry": (("ry", "Y", 0),),
+    "rz": (("rz", "Z", 0),),
+    "rot": (("rz", "Z", 0), ("ry", "Y", 1), ("rz", "Z", 2)),
+}
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mat, -1, -2))
+
+
+def _factors(op, theta: np.ndarray, features: np.ndarray) -> list:
+    """(matrix, generator, ParamRef) per factor of a 1-qubit gate, in acting order."""
+    if op.kind in sv.FIXED_GATES:
+        return [(sv.FIXED_GATES[op.kind], None, None)]
+    if op.kind not in _FACTORS:
+        raise UnsupportedGateError(f"no adjoint rule for gate {op.kind!r}")
+    out = []
+    for kind, axis, slot in _FACTORS[op.kind]:
+        ref = op.params[slot]
+        mat = sv.gate_matrix(kind, [_resolve(ref, theta, features)])
+        out.append((mat, sv.PAULI_MATRICES[axis], ref))
+    return out
+
+
+def _cross(psi: np.ndarray, lam: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """C[b, i, j] = sum over the other qubits of conj(lam_i) psi_j, so that
+    <lam|G|psi> = sum_ij G[i, j] C[b, i, j] for any 2x2 G on ``qubit``."""
+    shape = (psi.shape[0], (1 << num_qubits) >> (qubit + 1), 2, 1 << qubit)
+    lam = np.conj(lam).reshape(shape)
+    psi = psi.reshape(shape)
+    cross = np.empty((shape[0], 2, 2), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            cross[:, i, j] = np.einsum("bhl,bhl->b", lam[:, :, i], psi[:, :, j])
+    return cross
+
+
+def adjoint_vjp(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    weights: np.ndarray,
+) -> tuple:
+    """``(raw, dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b.
+
+    ``raw`` is the (B, n_obs) matrix of expectations, ``dtheta`` is dL/dtheta
+    summed over rows and over every occurrence of a reused slot, and
+    ``dinputs`` is the per-row (B, n_inputs) dL/d(input angle).
+
+    Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): run the
+    circuit forward once, form lambda = sum_o w_o P_o |psi>, then walk the
+    gates in reverse, applying U^dagger to both psi and lambda.  A rotation
+    exp(-i a G / 2) followed, inside its gate, by the factors V contributes
+    Im <lambda|V G V^dagger|psi>, taken at the gate's output, so a ``rot``
+    costs one U^dagger like any other gate.  Intermediate states are
+    un-computed, never stored, so memory stays at psi, lambda and one
+    scratch array.
+    """
+    theta, features, psi = batch_zero_state(circuit, theta, features)
+    weights = np.asarray(weights, dtype=float)
+    nq = circuit.num_qubits
+    psi = _run(psi, circuit, theta, features)
+    raw = np.empty((psi.shape[0], len(observables)))
+    lam = np.zeros_like(psi)
+    for o, obs in enumerate(observables):
+        raw[:, o] = expectation_of_amps(psi, obs, nq)
+        lam += weights[:, o, None] * sv.apply_pauli_string(psi, obs.as_dict(), nq)
+
+    dtheta = np.zeros(circuit.num_trainable)
+    dinputs = np.zeros((psi.shape[0], circuit.num_inputs))
+    for op in reversed(circuit.ops):
+        if op.kind == "cnot":  # its own inverse
+            psi = sv.apply_cnot_array(psi, op.qubits[0], op.qubits[1], nq)
+            lam = sv.apply_cnot_array(lam, op.qubits[0], op.qubits[1], nq)
+            continue
+        qubit = op.qubits[0]
+        cross = None
+        after = np.eye(2)  # the gate's factors that act after the current one
+        for mat, generator, ref in reversed(_factors(op, theta, features)):
+            if ref is not None and ref.kind != "const":
+                if cross is None:
+                    cross = _cross(psi, lam, qubit, nq)
+                rotated = after @ generator @ _dagger(after)
+                grad = np.imag(np.sum(rotated * cross, axis=(-2, -1)))
+                if ref.kind == "theta":
+                    dtheta[ref.index] += grad.sum()
+                else:
+                    dinputs[:, ref.index] += grad
+            after = after @ mat
+        inverse = _dagger(after)
+        psi = sv.apply_matrix(psi, inverse, qubit, nq)
+        lam = sv.apply_matrix(lam, inverse, qubit, nq)
+    return raw, dtheta, dinputs
 
 
 def loss_gradient(head_model, params: np.ndarray, features: np.ndarray,

@@ -402,38 +402,42 @@ def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
     ``dlogits[name]`` holds dL/dlogit of shape (B, r_t); the returned vector
     covers circuit angles then calibration scalars.
     """
-    from .gradients import param_shift_jacobian_batch
+    from .gradients import adjoint_vjp
+
+    # dL/draw per observable; heads absent from dlogits (task not in the
+    # current batch) contribute zero
+    draw = np.zeros((len(features), len(model.observables)))
+    for head in model.heads:
+        if head.name not in dlogits:
+            continue
+        d = np.asarray(dlogits[head.name])
+        cal = head.calibration
+        if cal.kind == "affine":
+            draw[:, head.logit_slice] = params[head.calib_slice][: head.outputs] * d
+        elif cal.kind == "temperature":
+            draw[:, head.logit_slice] = params[head.calib_slice][0] * d
+        else:
+            draw[:, head.logit_slice] = d
 
     theta = params[: model.num_circuit_params]
-    observables = list(model.observables)
-    raw = evaluate_expectations_batch(model.circuit, theta, features, observables)
+    raw, dtheta, _ = adjoint_vjp(model.circuit, theta, features,
+                                 list(model.observables), draw)
     grad = np.zeros(model.num_params)
+    grad[: model.num_circuit_params] = dtheta
 
-    # dL/draw per observable, plus analytic calibration derivatives; heads
-    # absent from dlogits (task not in the current batch) contribute zero
-    draw = np.zeros_like(raw)
+    # analytic calibration derivatives from the same forward run's raw values
     for head in model.heads:
         if head.name not in dlogits:
             continue
         d = np.asarray(dlogits[head.name])
         z = raw[:, head.logit_slice]
-        cal = head.calibration
-        if cal.kind == "affine":
+        s = head.calib_slice.start
+        if head.calibration.kind == "affine":
             r = head.outputs
-            gamma = params[head.calib_slice][:r]
-            draw[:, head.logit_slice] = gamma * d
-            s = head.calib_slice.start
             grad[s:s + r] = np.sum(d * z, axis=0)              # d/dgamma_i
             grad[s + r:s + 2 * r] = np.sum(d, axis=0)          # d/dbeta_i
-        elif cal.kind == "temperature":
-            tau = params[head.calib_slice][0]
-            draw[:, head.logit_slice] = tau * d
-            grad[head.calib_slice.start] = np.sum(d * z)       # d/dtau
-        else:
-            draw[:, head.logit_slice] = d
-
-    jac = param_shift_jacobian_batch(model.circuit, theta, features, observables)
-    grad[: model.num_circuit_params] = np.einsum("bo,bop->p", draw, jac)
+        elif head.calibration.kind == "temperature":
+            grad[s] = np.sum(d * z)                            # d/dtau
     return grad
 
 
@@ -684,37 +688,36 @@ class HqnnHeadModel:
         return out
 
     def backward_batch(self, params, features, dlogits):
-        from .gradients import input_shift_jacobian_batch, param_shift_jacobian_batch
+        from .gradients import adjoint_vjp
 
         features = np.asarray(features, dtype=float)
         u = self._project(params, features)
         theta = params[: self.n_circuit]
-        expect = evaluate_expectations_batch(self.circuit, theta, u, self.observables)
         scale = params[self.scale]
-        scaled = scale * expect
 
         grad = np.zeros(self._num_params)
-        dscaled = np.zeros_like(expect)
+        dscaled = np.zeros((len(features), self.num_qubits))
+        for name in self.task_names:
+            if name in dlogits:
+                w = params[self._head_slices[name][0]].reshape(self.outputs[name],
+                                                               self.num_qubits)
+                dscaled += np.asarray(dlogits[name]) @ w
+
+        expect, dtheta, du = adjoint_vjp(self.circuit, theta, u, self.observables,
+                                         scale * dscaled)
+        grad[: self.n_circuit] = dtheta
+        grad[self.scale] = np.sum(dscaled * expect)
+        grad[self.proj_w] = (du.T @ features).ravel()
+        grad[self.proj_b] = du.sum(axis=0)
+
+        scaled = scale * expect
         for name in self.task_names:
             if name not in dlogits:
                 continue
             d = np.asarray(dlogits[name])
             w_slice, b_slice = self._head_slices[name]
-            r = self.outputs[name]
-            w = params[w_slice].reshape(r, self.num_qubits)
             grad[w_slice] = (d.T @ scaled).ravel()
             grad[b_slice] = d.sum(axis=0)
-            dscaled += d @ w
-        grad[self.scale] = np.sum(dscaled * expect)
-        dexpect = scale * dscaled
-
-        theta_jac = param_shift_jacobian_batch(self.circuit, theta, u, self.observables)
-        grad[: self.n_circuit] = np.einsum("bo,bop->p", dexpect, theta_jac)
-
-        input_jac = input_shift_jacobian_batch(self.circuit, theta, u, self.observables)
-        du = np.einsum("bo,boi->bi", dexpect, input_jac)
-        grad[self.proj_w] = (du.T @ features).ravel()
-        grad[self.proj_b] = du.sum(axis=0)
         return grad
 
 

@@ -171,6 +171,7 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0
         n_updates = 0
+        gradient_s = optimizer_s = 0.0
 
         if cfg.protocol in ("parallel", "masked_parallel"):
             order = rng_shuffle.permutation(train_data.num_samples)
@@ -199,14 +200,19 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
 
         for specs_j, batch_idx in jobs:
             sub = train_data.subset(batch_idx)
+            tick = time.perf_counter()
             try:
                 value, grad = loss_gradient(head_model, params, sub.features,
                                             sub.labels, specs_j)
             except DegenerateBatchError:
                 continue
+            finally:
+                gradient_s += time.perf_counter() - tick
+            tick = time.perf_counter()
             grad = clip_global_norm(grad, cfg.clip_norm)
             params = adam_step(params, grad, state, lr,
                                weight_decay=weight_decay, decay_mask=decay_mask)
+            optimizer_s += time.perf_counter() - tick
             epoch_loss += value
             step += 1
             n_updates += 1
@@ -214,7 +220,9 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
         if epoch % cfg.eval_every != 0 and epoch != cfg.epochs:
             continue
 
+        tick = time.perf_counter()
         report = evaluate(head_model, params, val_data, task_specs)
+        eval_s = time.perf_counter() - tick
         value = monitored_value(report, task_specs)
         lr = scheduler.step(value)
         history.append({
@@ -224,6 +232,9 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
             "train_loss": epoch_loss / max(n_updates, 1),
             "monitor": value,
             "wall_time": time.perf_counter() - start,
+            "gradient_s": gradient_s,
+            "optimizer_s": optimizer_s,
+            "eval_s": eval_s,
             "tasks": report,
         })
         if value > best_value:

@@ -191,3 +191,55 @@ def test_unknown_train_key_rejected(tmp_path, capsys):
     assert main(["train", "--config", str(path),
                  "--out-dir", str(tmp_path / "o")]) == 1
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.fixture
+def checkpoint(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_config, "--out-dir", str(out)]) == 0
+    return out / "checkpoint.json"
+
+
+def _fails_cleanly(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_eval_rejects_zero_shots(checkpoint, capsys):
+    err = _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--shots", "0"], capsys)
+    assert "--shots" in err
+
+
+def test_eval_rejects_zero_trajectories(checkpoint, capsys):
+    _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--p1", "0.01",
+                    "--trajectories", "0"], capsys)
+
+
+def test_eval_rejects_probability_above_one(checkpoint, capsys):
+    _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--p1", "1.5"], capsys)
+
+
+@pytest.mark.parametrize("key", ["params", "num_params"])
+def test_eval_rejects_checkpoint_without_key(checkpoint, tmp_path, capsys, key):
+    payload = json.loads(checkpoint.read_text())
+    del payload[key]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    err = _fails_cleanly(["eval", "--checkpoint", str(broken)], capsys)
+    assert key in err
+
+
+def test_sweep_noise_rejects_zero_trajectories(tiny_config, checkpoint, tmp_path, capsys):
+    _fails_cleanly(["sweep", "noise", "--config", tiny_config,
+                    "--checkpoint", str(checkpoint), "--grid", "0.0,0.05",
+                    "--trajectories", "0", "--out-dir", str(tmp_path / "sweep")], capsys)
+    assert not (tmp_path / "sweep" / "sweep_noise.csv").exists()
+
+
+def test_gradcheck_reports_adjoint_column(capsys):
+    assert main(["gradcheck", "--qubits", "3", "--depth", "12", "--seeds", "4"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header.split("\t") == ["seed", "max_dev", "adjoint_dev", "status"]
+    assert float(row.split("\t")[2]) <= 1e-5

@@ -1,8 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmtl import circuit as circuit_module
+from qmtl import cli
 from qmtl.circuit import Circuit, GateOp, feature, random_circuit, trainable
+from qmtl.data import gen_synthetic
 from qmtl.gradients import (
+    adjoint_vjp,
     finite_diff_jacobian,
     input_shift_jacobian_batch,
     loss_gradient,
@@ -18,7 +25,8 @@ from qmtl.model import (
     SharedEncoderConfig,
     TaskHeadConfig,
 )
-from qmtl.statevector import pauli
+from qmtl.presets import get_preset
+from qmtl.statevector import PauliString, pauli
 
 
 def test_single_ry_closed_form():
@@ -149,3 +157,82 @@ def test_corrupted_shift_detected():
                                shift=np.pi / 2 * 1.01)
     good = finite_diff_jacobian(circuit, theta, (), observables)
     assert np.max(np.abs(bad - good)) > 1e-5
+
+
+# ---------------------------------------------------------------------------
+# adjoint VJP, the training engine, against the shift and difference oracles
+
+
+def _random_problem(seed, batch=3):
+    rng = np.random.default_rng(seed)
+    nq = int(rng.integers(2, 5))
+    depth = int(rng.integers(20, 45))
+    circuit = random_circuit(nq, depth, rng, num_trainable=max(1, depth // 6), num_inputs=3)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    features = rng.uniform(-np.pi, np.pi, (batch, 3))
+    observables = [pauli("Z0"), PauliString({0: "X", nq - 1: "Y"}), pauli(f"Z{nq - 1}")]
+    weights = rng.normal(size=(batch, len(observables)))
+    return circuit, theta, features, observables, weights
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjoint_vjp_matches_shift_jacobians(seed):
+    circuit, theta, features, observables, weights = _random_problem(seed)
+    kinds = {op.kind for op in circuit.ops}
+    refs = [ref for op in circuit.ops for ref in op.params]
+    thetas = [ref.index for ref in refs if ref.kind == "theta"]
+    # the oracle must cover every branch of the reverse sweep
+    assert {"rot", "cnot"} <= kinds and kinds & {"h", "x", "y", "z"}
+    assert {"theta", "input", "const"} <= {ref.kind for ref in refs}
+    assert len(thetas) > len(set(thetas))
+
+    raw, dtheta, dinputs = adjoint_vjp(circuit, theta, features, observables, weights)
+    np.testing.assert_allclose(
+        raw, circuit_module.evaluate_expectations_batch(circuit, theta, features, observables),
+        rtol=0, atol=1e-12)
+    shift = param_shift_jacobian_batch(circuit, theta, features, observables)
+    np.testing.assert_allclose(dtheta, np.einsum("bo,bop->p", weights, shift),
+                               rtol=0, atol=1e-10)
+    inputs = input_shift_jacobian_batch(circuit, theta, features, observables)
+    np.testing.assert_allclose(dinputs, np.einsum("bo,boi->bi", weights, inputs),
+                               rtol=0, atol=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nq=st.integers(1, 4), depth=st.integers(1, 30))
+def test_adjoint_equals_shift_equals_finite_differences(seed, nq, depth):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(nq, depth, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    row = rng.uniform(-np.pi, np.pi, 2)
+    observables = [pauli("Z0"), PauliString({0: "X", nq - 1: "Z"})]
+    weights = rng.normal(size=(1, len(observables)))
+    _, adjoint, _ = adjoint_vjp(circuit, theta, row[None, :], observables, weights)
+    shift = weights[0] @ param_shift_jacobian(circuit, theta, row, observables)
+    numeric = weights[0] @ finite_diff_jacobian(circuit, theta, row, observables)
+    np.testing.assert_allclose(adjoint, shift, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(adjoint, numeric, rtol=0, atol=1e-6)
+
+
+def test_loss_gradient_runs_the_circuit_at_most_twice(monkeypatch):
+    config = get_preset("toy")
+    specs = cli.task_specs_from(config)
+    train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
+    model = cli.head_model_from(config, specs)
+    batch = train_data.subset(np.arange(config["train"]["batch_size"]))
+
+    runs = []
+    original = circuit_module._run
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    # every qmtl namespace holding _run, however it imported it
+    for name, module in list(sys.modules.items()):
+        if name == "qmtl" or name.startswith("qmtl."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    loss_gradient(model, model.init_params(0), batch.features, batch.labels, specs)
+    assert 1 <= len(runs) <= 2

@@ -106,6 +106,16 @@ def test_history_records_lr_and_monitor():
     assert monitored and all(np.isfinite(h["monitor"]) for h in monitored)
 
 
+def test_history_records_phase_times():
+    data, val = _toy_data(), _toy_data(seed=1)
+    result = train(_model(), data, val, SPECS, _cfg(epochs=2))
+    assert result.history
+    for row in result.history:
+        for key in ("gradient_s", "optimizer_s", "eval_s"):
+            assert row[key] >= 0.0
+        assert row["gradient_s"] + row["optimizer_s"] + row["eval_s"] <= row["wall_time"]
+
+
 def test_predictions_binary_and_multiclass():
     binary = TaskSpec("b", "binary")
     np.testing.assert_array_equal(
