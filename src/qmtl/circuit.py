@@ -187,7 +187,11 @@ def expectation_of_amps(amps: np.ndarray, obs: PauliString, num_qubits: int):
 
 
 def batch_zero_state(circuit: Circuit, theta: Sequence[float], features: np.ndarray) -> tuple:
-    """Checked (theta, features) bindings and one |0...0> row per feature row."""
+    """Checked (theta, features) bindings and one |0...0> row per feature row.
+
+    Raises CapacityError, before allocating, if the B rows of 2**Q amplitudes
+    exceed the simulator's amplitude budget.
+    """
     theta = np.asarray(theta, dtype=float)
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[1] != circuit.num_inputs:
@@ -198,9 +202,7 @@ def batch_zero_state(circuit: Circuit, theta: Sequence[float], features: np.ndar
         raise ValueError(
             f"expected {circuit.num_trainable} trainable values, got shape {theta.shape}"
         )
-    amps = np.zeros((features.shape[0], 1 << circuit.num_qubits), dtype=complex)
-    amps[:, 0] = 1.0
-    return theta, features, amps
+    return theta, features, sv.zero_batch(circuit.num_qubits, features.shape[0])
 
 
 def evaluate_expectations_batch(

@@ -80,6 +80,15 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _heads(config: dict) -> list:
+    """The config's head entries, each checked to be an object with a name."""
+    heads = _require(config, "heads")
+    for i, h in enumerate(heads):
+        if not isinstance(h, dict) or "name" not in h:
+            raise ConfigError(f"head {i} has no 'name'")
+    return heads
+
+
 def model_config_from(config: dict) -> QmtlModelConfig:
     enc = _require(config, "encoder")
     encoder = SharedEncoderConfig(
@@ -87,8 +96,14 @@ def model_config_from(config: dict) -> QmtlModelConfig:
         layers=enc["layers"],
         entangling=enc.get("entangling", True),
     )
+    feature_dim = _require(config, "data")["feature_dim"]
+    if feature_dim != encoder.feature_dim:
+        raise ConfigError(
+            f"data.feature_dim is {feature_dim}, but the encoder consumes "
+            f"qubits * layers = {encoder.feature_dim} features"
+        )
     heads = []
-    for h in _require(config, "heads"):
+    for h in _heads(config):
         heads.append(TaskHeadConfig(
             name=h["name"],
             qubits=h["qubits"],
@@ -102,7 +117,7 @@ def model_config_from(config: dict) -> QmtlModelConfig:
 
 def task_specs_from(config: dict) -> list:
     specs = []
-    for h in _require(config, "heads"):
+    for h in _heads(config):
         specs.append(TaskSpec(
             name=h["name"],
             kind=h.get("kind", "binary"),

@@ -2,8 +2,16 @@
 
 Each trajectory inserts, after every single-qubit gate with probability p1,
 one of {X, Y, Z} uniformly on that qubit, and after every two-qubit gate with
-probability p2 one of the 15 non-identity two-qubit Paulis uniformly.
-Memory stays at one statevector per trajectory.
+probability p2 one of the 15 non-identity two-qubit Paulis uniformly
+(Wallman & Emerson, arXiv:1512.01098).
+
+The trajectories run together, one per row of a (T, 2**Q) amplitude array,
+through a single pass over the gates: after each gate one uniform draw per row
+decides which rows are hit, and only those rows get their Pauli.  Rows are
+split into chunks of at most 2**MAX_QUBITS amplitudes (one chunk for 1000
+trajectories up to Q = 14).  The chunk size depends only on Q, so the
+estimate is a pure function of the circuit, its bindings, the observables and
+the NoiseSpec.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import statevector as sv
-from .circuit import Circuit, _run
-from .statevector import PauliString
+from .circuit import Circuit, _check_bindings, _run, evaluate_expectations
+from .statevector import MAX_QUBITS, PauliString
 
 
 @dataclass(frozen=True)
@@ -32,14 +40,8 @@ class NoiseSpec:
             raise ValueError("num_trajectories must be >= 1")
 
 
-_PAULI_1Q = ("X", "Y", "Z")
-# non-identity pairs over {I, X, Y, Z} x {I, X, Y, Z}
-_PAULI_2Q = [
-    (a, b)
-    for a in (None, "X", "Y", "Z")
-    for b in (None, "X", "Y", "Z")
-    if not (a is None and b is None)
-]
+# I, X, Y, Z; a two-qubit Pauli k in 1..15 is the pair (k >> 2, k & 3)
+_PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "XYZ"])
 
 
 def noisy_expectations(
@@ -54,35 +56,37 @@ def noisy_expectations(
     With p1 = p2 = 0 this returns the exact noiseless expectations
     bit-for-bit (trajectories are degenerate).
     """
-    from .circuit import evaluate_expectations
-
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         return evaluate_expectations(circuit, theta, features, observables)
 
-    theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
+    theta, features = _check_bindings(circuit, theta, features)
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 
     def hook(amps, op):
-        if op.kind == "cnot":
-            if noise.p2 > 0.0 and rng.random() < noise.p2:
-                pa, pb = _PAULI_2Q[rng.integers(len(_PAULI_2Q))]
-                if pa is not None:
-                    amps = sv.apply_matrix(amps, sv.PAULI_MATRICES[pa], op.qubits[0], nq)
-                if pb is not None:
-                    amps = sv.apply_matrix(amps, sv.PAULI_MATRICES[pb], op.qubits[1], nq)
+        """Insert a sampled Pauli after ``op`` into each row of ``amps`` that is hit."""
+        cnot = op.kind == "cnot"
+        p = noise.p2 if cnot else noise.p1
+        if p == 0.0:
+            return amps
+        hit = np.flatnonzero(rng.random(len(amps)) < p)
+        if not hit.size:
+            return amps
+        if cnot:
+            pair = rng.integers(1, 16, size=hit.size)
+            rows = sv.apply_matrix(amps[hit], _PAULIS[pair >> 2], op.qubits[0], nq)
+            rows = sv.apply_matrix(rows, _PAULIS[pair & 3], op.qubits[1], nq)
         else:
-            if noise.p1 > 0.0 and rng.random() < noise.p1:
-                axis = _PAULI_1Q[rng.integers(3)]
-                amps = sv.apply_matrix(amps, sv.PAULI_MATRICES[axis], op.qubits[0], nq)
+            axis = rng.integers(1, 4, size=hit.size)
+            rows = sv.apply_matrix(amps[hit], _PAULIS[axis], op.qubits[0], nq)
+        amps[hit] = rows
         return amps
 
+    chunk = max(1, (1 << MAX_QUBITS) >> nq)
     total = np.zeros(len(observables))
-    for _ in range(noise.num_trajectories):
-        amps = np.zeros(1 << nq, dtype=complex)
-        amps[0] = 1.0
+    for start in range(0, noise.num_trajectories, chunk):
+        amps = sv.zero_batch(nq, min(chunk, noise.num_trajectories - start))
         amps = _run(amps, circuit, theta, features, noise_hook=hook)
         for i, obs in enumerate(observables):
-            total[i] += sv.expectation_array(amps, obs.as_dict(), nq)
+            total[i] += sv.expectation_array(amps, obs.as_dict(), nq).sum()
     return total / noise.num_trajectories

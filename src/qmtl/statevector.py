@@ -195,13 +195,27 @@ class Statevector:
         return Statevector(self.num_qubits, self.amplitudes.copy())
 
 
-def init_zero(num_qubits: int) -> Statevector:
-    """|0...0> on ``num_qubits`` qubits; guards against oversized registers."""
+def check_capacity(num_qubits: int, rows: int) -> None:
+    """Refuse registers above MAX_QUBITS and batches above 2**MAX_QUBITS amplitudes."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}")
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
+    if rows << num_qubits > 1 << MAX_QUBITS:
+        raise CapacityError(
+            f"{rows} rows of {num_qubits} qubits exceed the 2**{MAX_QUBITS}-amplitude budget"
+        )
+
+
+def zero_batch(num_qubits: int, rows: int) -> np.ndarray:
+    """(rows, 2**num_qubits) amplitudes, each row |0...0>; checked before allocating."""
+    check_capacity(num_qubits, rows)
+    amps = np.zeros((rows, 1 << num_qubits), dtype=complex)
+    amps[:, 0] = 1.0
+    return amps
+
+
+def init_zero(num_qubits: int) -> Statevector:
+    """|0...0> on ``num_qubits`` qubits; guards against oversized registers."""
+    return Statevector(num_qubits, zero_batch(num_qubits, 1)[0])
 
 
 def _check_qubit(state: Statevector, qubit: int) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,16 @@ from qmtl.circuit import (
     random_circuit,
     trainable,
 )
-from qmtl.statevector import apply_1q, apply_cnot, expectation, init_zero, pauli
+from qmtl.errors import CapacityError
+from qmtl.statevector import (
+    MAX_QUBITS,
+    apply_1q,
+    apply_cnot,
+    check_capacity,
+    expectation,
+    init_zero,
+    pauli,
+)
 
 
 def _bell_circuit():
@@ -164,3 +175,30 @@ def test_group_commuting_greedy_order_stable():
 def test_group_commuting_singletons():
     groups = group_commuting([pauli("X0"), pauli("Y0"), pauli("Z0")])
     assert len(groups) == 3
+
+
+@pytest.mark.parametrize("num_qubits,rows", [
+    (4, ((1 << MAX_QUBITS) >> 4) + 1),   # one row over the amplitude budget
+    (MAX_QUBITS, 2),                     # two full-size registers
+    (MAX_QUBITS + 1, 1),                 # one register above MAX_QUBITS
+])
+def test_oversized_batch_refused_before_allocation(num_qubits, rows):
+    circuit = Circuit(num_qubits, [GateOp("h", (0,))], 0, 0)
+    features = np.empty((rows, 0))  # no inputs: the matrix holds no bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            evaluate_expectations_batch(circuit, [], features, [pauli("Z0")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_capacity_budget_boundary():
+    check_capacity(4, (1 << MAX_QUBITS) >> 4)
+    check_capacity(MAX_QUBITS, 1)
+    with pytest.raises(CapacityError):
+        check_capacity(4, ((1 << MAX_QUBITS) >> 4) + 1)
+    with pytest.raises(CapacityError):
+        check_capacity(0, 1)

@@ -243,3 +243,32 @@ def test_gradcheck_reports_adjoint_column(capsys):
     header, row = capsys.readouterr().out.strip().splitlines()
     assert header.split("\t") == ["seed", "max_dev", "adjoint_dev", "status"]
     assert float(row.split("\t")[2]) <= 1e-5
+
+
+def _broken_config_argv(tmp_path, command, edit):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    edit(cfg)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)]
+    if command == "train":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+def test_head_without_name_fails_cleanly(tmp_path, capsys, command):
+    def edit(cfg):
+        del cfg["heads"][1]["name"]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert "head 1" in err and "name" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+def test_feature_dim_mismatch_fails_cleanly(tmp_path, capsys, command):
+    def edit(cfg):
+        cfg["data"]["feature_dim"] = 5
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert "feature_dim" in err and "4" in err
+    assert not (tmp_path / "run").exists()
