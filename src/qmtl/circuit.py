@@ -110,6 +110,46 @@ def _resolve(ref: ParamRef, theta: np.ndarray, features: np.ndarray):
     return ref.value
 
 
+def gate_blocks(circuit: Circuit) -> list:
+    """``circuit.ops`` indices grouped into the blocks that ``_run`` applies.
+
+    Each CNOT is a block of its own; all 1-qubit gates on qubit q between two
+    CNOTs that touch q form one block, in acting order.  A block on q is
+    emitted just before the next CNOT that touches q (or at the end), so it
+    moves only past CNOTs on other qubits, with which it commutes.
+    """
+    blocks = []
+    pending = {}
+    for op_idx, op in enumerate(circuit.ops):
+        if op.kind == "cnot":
+            for q in op.qubits:
+                if q in pending:
+                    blocks.append(tuple(pending.pop(q)))
+            blocks.append((op_idx,))
+        else:
+            pending.setdefault(op.qubits[0], []).append(op_idx)
+    blocks.extend(tuple(ops) for _, ops in sorted(pending.items()))
+    return blocks
+
+
+def _block_matrix(circuit: Circuit, block: tuple, theta: np.ndarray, features: np.ndarray,
+                  override: Optional[dict]) -> np.ndarray:
+    """Product of the gate matrices of a 1-qubit block; (B, 2, 2) when an
+    input angle of a (B, d) feature matrix enters it."""
+    mat = None
+    for op_idx in block:
+        op = circuit.ops[op_idx]
+        angles = [_resolve(ref, theta, features) for ref in op.params]
+        if override:
+            for slot in range(len(angles)):
+                delta = override.get((op_idx, slot))
+                if delta is not None:
+                    angles[slot] = angles[slot] + delta
+        gate = sv.gate_matrix(op.kind, angles)
+        mat = gate if mat is None else gate @ mat
+    return mat
+
+
 def _run(
     amps: np.ndarray,
     circuit: Circuit,
@@ -118,23 +158,24 @@ def _run(
     override: Optional[dict] = None,
     noise_hook=None,
 ) -> np.ndarray:
-    """Apply all ops to ``amps`` (shape (..., 2**Q)).
+    """Apply all ops to ``amps`` (shape (..., 2**Q)), one ``gate_blocks``
+    block per kernel call.
 
     ``override`` maps (op_index, slot) -> additive angle shift for a single
-    gate occurrence.  ``noise_hook(amps, op) -> amps`` runs after every gate.
+    gate occurrence.  ``noise_hook(amps, op) -> amps`` runs after every gate:
+    with a hook, each gate is a block of its own, in circuit order.
     """
     nq = circuit.num_qubits
-    for op_idx, op in enumerate(circuit.ops):
+    if noise_hook is None:
+        blocks = gate_blocks(circuit)
+    else:
+        blocks = [(op_idx,) for op_idx in range(len(circuit.ops))]
+    for block in blocks:
+        op = circuit.ops[block[0]]
         if op.kind == "cnot":
             amps = sv.apply_cnot_array(amps, op.qubits[0], op.qubits[1], nq)
         else:
-            angles = [_resolve(ref, theta, features) for ref in op.params]
-            if override:
-                for slot in range(len(angles)):
-                    delta = override.get((op_idx, slot))
-                    if delta is not None:
-                        angles[slot] = angles[slot] + delta
-            mat = sv.gate_matrix(op.kind, angles)
+            mat = _block_matrix(circuit, block, theta, features, override)
             amps = sv.apply_matrix(amps, mat, op.qubits[0], nq)
         if noise_hook is not None:
             amps = noise_hook(amps, op)

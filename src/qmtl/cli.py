@@ -74,10 +74,15 @@ def load_config(args) -> dict:
     return config
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing the {key!r} section")
-    return config[key]
+def _require(section: dict, key: str, where: str = "config"):
+    """``section[key]``, or a ConfigError naming the missing key."""
+    if key not in section:
+        raise ConfigError(f"{where} has no {key!r}")
+    return section[key]
+
+
+def _feature_dim(config: dict) -> int:
+    return _require(_require(config, "data"), "feature_dim", "data")
 
 
 def _heads(config: dict) -> list:
@@ -92,22 +97,22 @@ def _heads(config: dict) -> list:
 def model_config_from(config: dict) -> QmtlModelConfig:
     enc = _require(config, "encoder")
     encoder = SharedEncoderConfig(
-        num_qubits=enc["qubits"],
-        layers=enc["layers"],
+        num_qubits=_require(enc, "qubits", "encoder"),
+        layers=_require(enc, "layers", "encoder"),
         entangling=enc.get("entangling", True),
     )
-    feature_dim = _require(config, "data")["feature_dim"]
+    feature_dim = _feature_dim(config)
     if feature_dim != encoder.feature_dim:
         raise ConfigError(
             f"data.feature_dim is {feature_dim}, but the encoder consumes "
             f"qubits * layers = {encoder.feature_dim} features"
         )
     heads = []
-    for h in _heads(config):
+    for i, h in enumerate(_heads(config)):
         heads.append(TaskHeadConfig(
             name=h["name"],
-            qubits=h["qubits"],
-            outputs=h["outputs"],
+            qubits=_require(h, "qubits", f"head {i}"),
+            outputs=_require(h, "outputs", f"head {i}"),
             layers=h.get("layers", 1),
             k_theta=h.get("k_theta", 3),
             calibration=Calibration(kind=h.get("calibration", "none")),
@@ -135,10 +140,10 @@ def task_specs_from(config: dict) -> list:
 def data_spec_from(config: dict, specs) -> SyntheticSpec:
     d = _require(config, "data")
     return SyntheticSpec(
-        feature_dim=d["feature_dim"],
+        feature_dim=_feature_dim(config),
         tasks=specs,
-        n_train=d["n_train"],
-        n_val=d["n_val"],
+        n_train=_require(d, "n_train", "data"),
+        n_val=_require(d, "n_val", "data"),
         teacher_seed=d.get("teacher_seed", 0),
         noise_level=d.get("noise_level", 0.0),
     )
@@ -163,7 +168,7 @@ def head_model_from(config: dict, specs):
     outputs = [s.num_logits for s in specs]
     if variant == "qmtl":
         return QmtlHeadModel(model_config_from(config))
-    feature_dim = _require(config, "data")["feature_dim"]
+    feature_dim = _feature_dim(config)
     if variant == "classical":
         return ClassicalHeadModel(feature_dim, outputs, names)
     return HqnnHeadModel(feature_dim, config.get("hqnn", {}).get("qubits", HQNN_QUBITS),
@@ -172,7 +177,7 @@ def head_model_from(config: dict, specs):
 
 def budget_dict(config: dict, specs) -> dict:
     """Quantum/classical/HQNN parameter counts for the configured shape."""
-    feature_dim = _require(config, "data")["feature_dim"]
+    feature_dim = _feature_dim(config)
     outputs = [s.num_logits for s in specs]
     names = [s.name for s in specs]
     out = {
@@ -252,7 +257,8 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
     """Per-task logits, optionally under shot sampling or depolarizing noise.
 
     Shot sampling and trajectory noise are only meaningful for the quantum
-    model; the classical/HQNN baselines always evaluate exactly.
+    model; the classical/HQNN baselines always evaluate exactly.  Row i,
+    commuting group g samples shots from its own stream, keyed (seed, i, g).
     """
     if (shots is None and noise is None) or not isinstance(head_model, QmtlHeadModel):
         return head_model.forward_batch(params, features)
@@ -268,7 +274,7 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
             head.name: _calibrate(head, raw[:, head.logit_slice], params)
             for head in model.heads
         }
-    rows = [forward(model, params, x, shots=shots, seed=seed + i)
+    rows = [forward(model, params, x, shots=shots, seed=(seed, i))
             for i, x in enumerate(features)]
     return {name: np.stack([r[name] for r in rows]) for name in model.task_names}
 
@@ -464,9 +470,10 @@ def _metric_cells(report: dict, specs) -> dict:
 def _rebuild_config(config: dict, *, layers=None, head_layers=None, entangling=None):
     out = json.loads(json.dumps(config))
     if layers is not None:
-        out["encoder"]["layers"] = layers
+        encoder = _require(out, "encoder")
+        encoder["layers"] = layers
         # capacity matching: the encoder consumes exactly Q*L features
-        out["data"]["feature_dim"] = out["encoder"]["qubits"] * layers
+        _require(out, "data")["feature_dim"] = _require(encoder, "qubits", "encoder") * layers
     if head_layers is not None:
         for h in out["heads"]:
             h["layers"] = head_layers

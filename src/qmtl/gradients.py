@@ -2,8 +2,9 @@
 uses, and the independent oracles that check it.
 
 Training differentiates the circuit with ``adjoint_vjp``: one forward run,
-then one reverse sweep that un-computes the state gate by gate, so its cost
-does not grow with the number of parameters.  The parameter-shift
+then one reverse sweep that un-computes the state one fused gate block
+(``circuit.gate_blocks``) at a time, so its cost does not grow with the
+number of parameters.  The parameter-shift
 Jacobians (exact for Pauli rotations, and runnable on hardware) and central
 finite differences stay as oracles for ``qmtl gradcheck`` and the tests.
 
@@ -28,6 +29,7 @@ from .circuit import (
     evaluate_expectations,
     evaluate_expectations_batch,
     expectation_of_amps,
+    gate_blocks,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
 from .statevector import PauliString
@@ -190,12 +192,13 @@ def adjoint_vjp(
 
     Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): run the
     circuit forward once, form lambda = sum_o w_o P_o |psi>, then walk the
-    gates in reverse, applying U^dagger to both psi and lambda.  A rotation
-    exp(-i a G / 2) followed, inside its gate, by the factors V contributes
-    Im <lambda|V G V^dagger|psi>, taken at the gate's output, so a ``rot``
-    costs one U^dagger like any other gate.  Intermediate states are
-    un-computed, never stored, so memory stays at psi, lambda and one
-    scratch array.
+    blocks of ``gate_blocks`` in reverse, applying each block's U^dagger to
+    both psi and lambda.  A rotation exp(-i a G / 2) followed, inside its
+    block, by the factors V contributes Im <lambda|V G V^dagger|psi>, taken
+    at the block's output, so a block costs one ``_cross`` and one U^dagger
+    on each of psi and lambda, however many gates it holds.  Intermediate
+    states are un-computed, never stored, so memory stays at psi, lambda
+    and one scratch array.
     """
     theta, features, psi = batch_zero_state(circuit, theta, features)
     weights = np.asarray(weights, dtype=float)
@@ -209,25 +212,27 @@ def adjoint_vjp(
 
     dtheta = np.zeros(circuit.num_trainable)
     dinputs = np.zeros((psi.shape[0], circuit.num_inputs))
-    for op in reversed(circuit.ops):
+    for block in reversed(gate_blocks(circuit)):
+        op = circuit.ops[block[0]]
         if op.kind == "cnot":  # its own inverse
             psi = sv.apply_cnot_array(psi, op.qubits[0], op.qubits[1], nq)
             lam = sv.apply_cnot_array(lam, op.qubits[0], op.qubits[1], nq)
             continue
         qubit = op.qubits[0]
         cross = None
-        after = np.eye(2)  # the gate's factors that act after the current one
-        for mat, generator, ref in reversed(_factors(op, theta, features)):
-            if ref is not None and ref.kind != "const":
-                if cross is None:
-                    cross = _cross(psi, lam, qubit, nq)
-                rotated = after @ generator @ _dagger(after)
-                grad = np.imag(np.sum(rotated * cross, axis=(-2, -1)))
-                if ref.kind == "theta":
-                    dtheta[ref.index] += grad.sum()
-                else:
-                    dinputs[:, ref.index] += grad
-            after = after @ mat
+        after = np.eye(2)  # the block's factors that act after the current one
+        for op_idx in reversed(block):
+            for mat, generator, ref in reversed(_factors(circuit.ops[op_idx], theta, features)):
+                if ref is not None and ref.kind != "const":
+                    if cross is None:
+                        cross = _cross(psi, lam, qubit, nq)
+                    rotated = after @ generator @ _dagger(after)
+                    grad = np.imag(np.sum(rotated * cross, axis=(-2, -1)))
+                    if ref.kind == "theta":
+                        dtheta[ref.index] += grad.sum()
+                    else:
+                        dinputs[:, ref.index] += grad
+                after = after @ mat
         inverse = _dagger(after)
         psi = sv.apply_matrix(psi, inverse, qubit, nq)
         lam = sv.apply_matrix(lam, inverse, qubit, nq)

@@ -8,7 +8,7 @@ head trainables in declaration order, then per-head calibration scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -358,12 +358,14 @@ def forward(
     params: np.ndarray,
     features: Sequence[float],
     shots: Optional[int] = None,
-    seed: int = 0,
+    seed: Union[int, Sequence[int]] = 0,
 ) -> dict:
     """Per-task logits for one feature vector.
 
     With ``shots`` set, observables are estimated by sampling commuting
-    groups instead of exact expectation values.
+    groups instead of exact expectation values; group ``gi`` draws from
+    ``default_rng([*seed, gi])`` (an int seed counts as ``(seed,)``), so a
+    caller that passes ``(seed, row)`` gets one stream per (seed, row, group).
     """
     theta = params[: model.num_circuit_params]
     observables = list(model.observables)
@@ -375,7 +377,7 @@ def forward(
         state = evaluate(model.circuit, theta, features)
         values = {}
         for gi, group in enumerate(group_commuting(observables)):
-            ests = sample_expectation(state, group, shots, seed + gi)
+            ests = sample_expectation(state, group, shots, [*np.atleast_1d(seed), gi])
             for obs, est in zip(group, ests):
                 values[id(obs)] = est
         raw = np.array([values[id(obs)] for obs in observables])

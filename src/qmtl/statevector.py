@@ -87,18 +87,32 @@ def gate_matrix(kind: str, angles: Sequence = ()) -> np.ndarray:
 # array kernels: operate on amplitudes of shape (..., 2**num_qubits)
 
 
+# below this qubit the (..., 2, 2**q) slices have fewer than 16 columns, too
+# few for a matmul to pay off, so apply_matrix folds the qubits below in
+_FOLD_QUBITS = 4
+
+
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 matrix (optionally batched over leading dims) to one qubit."""
+    """Apply a 2x2 matrix (optionally batched over leading dims) to one qubit.
+
+    A shared (2, 2) matrix on qubit q < _FOLD_QUBITS is folded with the
+    qubits below it into kron(mat, I) and applied as one gemm on the flat
+    ``(-1, 2**(q+1))`` view; a per-row matrix is one batched matmul.  Higher
+    qubits use ``mat @ (..., 2, 2**q)``, whose inner axis is long enough.
+    """
     dim = 1 << num_qubits
-    low = 1 << qubit
-    high = dim >> (qubit + 1)
     batch = amps.shape[:-1]
-    a = amps.reshape(batch + (high, 2, low))
-    if mat.ndim == 2:
-        out = np.einsum("ij,...hjl->...hil", mat, a)
+    if qubit < _FOLD_QUBITS:
+        low = 1 << qubit
+        width = 2 * low
+        block = mat[..., :, None, :, None] * np.eye(low)[:, None, :]
+        block = block.reshape(mat.shape[:-2] + (width, width))
+        rows = (-1,) if mat.ndim == 2 else batch + (-1,)
+        out = amps.reshape(rows + (width,)) @ np.swapaxes(block, -1, -2)
     else:
-        out = np.einsum("...ij,...hjl->...hil", mat, a)
-    return np.ascontiguousarray(out.reshape(batch + (dim,)))
+        a = amps.reshape(batch + (dim >> (qubit + 1), 2, 1 << qubit))
+        out = (mat if mat.ndim == 2 else mat[..., None, :, :]) @ a
+    return out.reshape(batch + (dim,))
 
 
 def cnot_permutation(control: int, target: int, num_qubits: int) -> np.ndarray:
@@ -107,7 +121,9 @@ def cnot_permutation(control: int, target: int, num_qubits: int) -> np.ndarray:
 
 
 def apply_cnot_array(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
-    return amps[..., cnot_permutation(control, target, num_qubits)]
+    # take, unlike amps[..., perm], returns a C-ordered array, so the next
+    # kernel's reshape is a view
+    return np.take(amps, cnot_permutation(control, target, num_qubits), axis=-1)
 
 
 def apply_pauli_string(amps: np.ndarray, terms: Mapping[int, str], num_qubits: int) -> np.ndarray:
@@ -264,9 +280,12 @@ def sample_expectation(
     state: Statevector,
     group: Sequence[PauliString],
     shots: int,
-    seed: int,
+    seed,
 ) -> list:
-    """Shot-based estimates for a qubit-wise-commuting group in one basis setting."""
+    """Shot-based estimates for a qubit-wise-commuting group in one basis setting.
+
+    ``seed`` is an int or a sequence of ints, passed to ``default_rng``.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     check_group(group)

@@ -136,6 +136,14 @@ def _batches(indices: np.ndarray, batch_size: int) -> list:
 
 def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
           task_specs: Sequence[TaskSpec], cfg: TrainConfig) -> TrainResult:
+    """Fit ``head_model``; one history record per validation pass.
+
+    Besides loss, monitor and learning rate, a record holds its epoch's phase
+    times (``gradient_s``, ``optimizer_s``, ``eval_s``), the mean global
+    gradient norm of its updates before and after clipping (``grad_norm``,
+    ``grad_norm_clipped``) and ``rows_per_s``, the rows it updated on per
+    second of its update loop.
+    """
     if train_data.num_samples == 0:
         raise ConfigError("empty training set")
     task_specs = _resolve_class_weights(list(task_specs), train_data)
@@ -172,6 +180,9 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
         epoch_loss = 0.0
         n_updates = 0
         gradient_s = optimizer_s = 0.0
+        grad_norm = grad_norm_clipped = 0.0
+        rows = 0
+        epoch_start = time.perf_counter()
 
         if cfg.protocol in ("parallel", "masked_parallel"):
             order = rng_shuffle.permutation(train_data.num_samples)
@@ -209,13 +220,17 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
             finally:
                 gradient_s += time.perf_counter() - tick
             tick = time.perf_counter()
+            grad_norm += float(np.linalg.norm(grad))
             grad = clip_global_norm(grad, cfg.clip_norm)
+            grad_norm_clipped += float(np.linalg.norm(grad))
             params = adam_step(params, grad, state, lr,
                                weight_decay=weight_decay, decay_mask=decay_mask)
             optimizer_s += time.perf_counter() - tick
             epoch_loss += value
+            rows += len(batch_idx)
             step += 1
             n_updates += 1
+        train_s = time.perf_counter() - epoch_start
 
         if epoch % cfg.eval_every != 0 and epoch != cfg.epochs:
             continue
@@ -235,6 +250,9 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
             "gradient_s": gradient_s,
             "optimizer_s": optimizer_s,
             "eval_s": eval_s,
+            "grad_norm": grad_norm / max(n_updates, 1),
+            "grad_norm_clipped": grad_norm_clipped / max(n_updates, 1),
+            "rows_per_s": rows / train_s if train_s > 0 else 0.0,
             "tasks": report,
         })
         if value > best_value:

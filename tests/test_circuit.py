@@ -2,16 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmtl import circuit as circuit_module
 from qmtl.circuit import (
     Circuit,
     GateOp,
+    _resolve,
+    _run,
     const,
     evaluate,
     evaluate_expectations,
     evaluate_expectations_batch,
     export_text,
     feature,
+    gate_blocks,
     group_commuting,
     parse_text,
     random_circuit,
@@ -24,9 +29,11 @@ from qmtl.statevector import (
     apply_cnot,
     check_capacity,
     expectation,
+    gate_matrix,
     init_zero,
     pauli,
 )
+from test_statevector import dense_1q, dense_cnot
 
 
 def _bell_circuit():
@@ -202,3 +209,80 @@ def test_capacity_budget_boundary():
         check_capacity(4, ((1 << MAX_QUBITS) >> 4) + 1)
     with pytest.raises(CapacityError):
         check_capacity(0, 1)
+
+
+def _dense_op(op, theta, x, num_qubits):
+    """Full 2**Q unitary of one gate."""
+    if op.kind == "cnot":
+        return dense_cnot(*op.qubits, num_qubits)
+    mat = gate_matrix(op.kind, [_resolve(ref, theta, x) for ref in op.params])
+    return dense_1q(mat, op.qubits[0], num_qubits)
+
+
+def _gate_by_gate(circuit, theta, x):
+    unitary = np.eye(1 << circuit.num_qubits, dtype=complex)
+    for op in circuit.ops:
+        unitary = _dense_op(op, theta, x, circuit.num_qubits) @ unitary
+    return unitary
+
+
+def _check_run_against_dense(circuit, rng, rows=3):
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    features = rng.uniform(-np.pi, np.pi, (rows, circuit.num_inputs))
+    dim = 1 << circuit.num_qubits
+    amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    out = _run(amps, circuit, theta, features)
+    for b in range(rows):
+        expected = _gate_by_gate(circuit, theta, features[b]) @ amps[b]
+        np.testing.assert_allclose(out[b], expected, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nq=st.integers(1, 5), depth=st.integers(1, 40))
+def test_fused_run_matches_gate_by_gate_unitary(seed, nq, depth):
+    """random_circuit draws CNOTs on and off each block's qubit, input refs
+    and trainable indices with replacement (reused angles)."""
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(nq, depth, rng, num_inputs=2)
+    _check_run_against_dense(circuit, rng)
+
+
+def _straddling_circuit():
+    """Blocks that run across CNOTs on other qubits: qubit 0's ops 0, 2, 4
+    across CNOTs 3 and 6, qubit 1's ops 5, 7 across CNOT 6, qubit 2's ops
+    9, 13 across CNOT 11; CNOTs 3, 8 and 11 cut the qubits they touch."""
+    th, x = trainable, feature
+    ops = [
+        GateOp("h", (0,)),                          # 0
+        GateOp("rx", (1,), (x(0),)),                # 1
+        GateOp("ry", (0,), (th(0),)),               # 2
+        GateOp("cnot", (1, 2)),                     # 3
+        GateOp("rot", (0,), (th(1), x(1), th(0))),  # 4
+        GateOp("rz", (1,), (th(2),)),               # 5
+        GateOp("cnot", (2, 3)),                     # 6
+        GateOp("ry", (1,), (th(2),)),               # 7
+        GateOp("cnot", (0, 1)),                     # 8
+        GateOp("rx", (2,), (x(0),)),                # 9
+        GateOp("rz", (0,), (th(1),)),               # 10
+        GateOp("cnot", (3, 0)),                     # 11
+        GateOp("h", (0,)),                          # 12
+        GateOp("rx", (2,), (th(0),)),               # 13
+    ]
+    return Circuit(4, ops, num_trainable=3, num_inputs=2)
+
+
+def test_blocks_straddle_cnots_on_other_qubits(monkeypatch):
+    circuit = _straddling_circuit()
+    assert gate_blocks(circuit) == [
+        (1,), (3,), (6,), (0, 2, 4), (5, 7), (8,), (10,), (11,), (12,), (9, 13),
+    ]
+    _check_run_against_dense(circuit, np.random.default_rng(0))
+
+    def past_own_cnot(circuit):
+        """Wrong: merges qubit 0's gates across the CNOTs that touch it."""
+        blocks = [b for b in gate_blocks(circuit) if b not in [(0, 2, 4), (10,), (12,)]]
+        return [(0, 2, 4, 10, 12)] + blocks
+
+    monkeypatch.setattr(circuit_module, "gate_blocks", past_own_cnot)
+    with pytest.raises(AssertionError):
+        _check_run_against_dense(circuit, np.random.default_rng(0))

@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from qmtl.cli import main
+import qmtl.model
+from qmtl.cli import eval_logits, head_model_from, main, task_specs_from
+from qmtl.presets import get_preset
 
 
 TINY_CONFIG = {
@@ -272,3 +275,42 @@ def test_feature_dim_mismatch_fails_cleanly(tmp_path, capsys, command):
     err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
     assert "feature_dim" in err and "4" in err
     assert not (tmp_path / "run").exists()
+
+
+_MISSING_KEYS = {
+    "encoder.qubits": (lambda cfg: cfg["encoder"].pop("qubits"), "encoder"),
+    "head.qubits": (lambda cfg: cfg["heads"][0].pop("qubits"), "head 0"),
+    "data.feature_dim": (lambda cfg: cfg["data"].pop("feature_dim"), "data"),
+}
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("missing", sorted(_MISSING_KEYS))
+def test_missing_config_key_fails_cleanly(tmp_path, capsys, command, missing):
+    edit, where = _MISSING_KEYS[missing]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert where in err and missing.split(".")[1] in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_shot_streams_are_distinct_and_reproducible(monkeypatch):
+    config = get_preset("toy")
+    specs = task_specs_from(config)
+    head_model = head_model_from(config, specs)
+    params = head_model.init_params(0)
+    features = np.random.default_rng(0).uniform(-1.0, 1.0, (3, config["data"]["feature_dim"]))
+    keys = []
+    sample = qmtl.model.sample_expectation
+
+    def recording(state, group, shots, seed):
+        keys.append(seed)
+        return sample(state, group, shots, seed)
+
+    monkeypatch.setattr(qmtl.model, "sample_expectation", recording)
+    first = eval_logits(head_model, params, features, shots=64, seed=5)
+    assert len(keys) == 3 * 2  # rows x commuting groups of the toy observables
+    streams = {tuple(np.random.default_rng(key).integers(1 << 62, size=4)) for key in keys}
+    assert len(streams) == len(keys)
+    again = eval_logits(head_model, params, features, shots=64, seed=5)
+    for name in first:
+        np.testing.assert_array_equal(first[name], again[name])

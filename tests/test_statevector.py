@@ -7,6 +7,7 @@ from qmtl.statevector import (
     PauliString,
     apply_1q,
     apply_cnot,
+    apply_matrix,
     check_group,
     expectation,
     gate_matrix,
@@ -120,6 +121,28 @@ def test_apply_1q_matches_dense_oracle(num_qubits):
         apply_1q(state, kind, qubit, angles)
         expected = dense_1q(mat, qubit, num_qubits) @ ref
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 8))
+def test_apply_matrix_matches_dense_oracle_on_every_qubit(num_qubits):
+    """Shared and per-row matrices, on a single state and on a batch."""
+    rng = np.random.default_rng(20 + num_qubits)
+    dim, rows = 1 << num_qubits, 3
+    for qubit in range(num_qubits):
+        amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        shared = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        per_row = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+        dense = dense_1q(shared, qubit, num_qubits)
+        single = apply_matrix(amps[0], shared, qubit, num_qubits)
+        assert single.shape == (dim,)
+        np.testing.assert_allclose(single, dense @ amps[0], atol=1e-12)
+        batch = apply_matrix(amps, shared, qubit, num_qubits)
+        assert batch.shape == (rows, dim)
+        np.testing.assert_allclose(batch, amps @ dense.T, atol=1e-12)
+        expected = np.stack([dense_1q(per_row[b], qubit, num_qubits) @ amps[b]
+                             for b in range(rows)])
+        np.testing.assert_allclose(apply_matrix(amps, per_row, qubit, num_qubits),
+                                   expected, atol=1e-12)
 
 
 def test_apply_cnot_matches_dense_oracle():

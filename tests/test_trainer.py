@@ -108,12 +108,19 @@ def test_history_records_lr_and_monitor():
 
 def test_history_records_phase_times():
     data, val = _toy_data(), _toy_data(seed=1)
-    result = train(_model(), data, val, SPECS, _cfg(epochs=2))
-    assert result.history
-    for row in result.history:
-        for key in ("gradient_s", "optimizer_s", "eval_s"):
-            assert row[key] >= 0.0
-        assert row["gradient_s"] + row["optimizer_s"] + row["eval_s"] <= row["wall_time"]
+    for clip_norm in (1.0, 1e-3):
+        result = train(_model(), data, val, SPECS, _cfg(epochs=2, clip_norm=clip_norm))
+        assert result.history
+        for row in result.history:
+            for key in ("gradient_s", "optimizer_s", "eval_s"):
+                assert row[key] >= 0.0
+            assert row["gradient_s"] + row["optimizer_s"] + row["eval_s"] <= row["wall_time"]
+            # the parallel protocol trains on every row once per epoch
+            assert row["rows_per_s"] >= data.num_samples / row["wall_time"]
+            assert row["grad_norm"] > 0.0
+            assert row["grad_norm_clipped"] <= min(row["grad_norm"], clip_norm) * (1 + 1e-12)
+            if clip_norm < 1.0:  # every step is clipped to the bound
+                assert row["grad_norm_clipped"] == pytest.approx(clip_norm, rel=1e-12)
 
 
 def test_predictions_binary_and_multiclass():
