@@ -49,7 +49,6 @@ from .model import (
     SharedEncoderConfig,
     TaskHeadConfig,
     assemble,
-    build_hqnn_baseline,
     build_shared_encoder,
     build_task_head,
     count_params_classical,
@@ -67,7 +66,7 @@ from .gradients import (
     param_shift_jacobian,
     param_shift_jacobian_batch,
 )
-from .losses import MISSING, TaskSpec, binarize_3class, class_weights, mtl_loss
+from .losses import MISSING, TaskSpec, class_weights
 from .metrics import MetricResult, compute_metric
 from .optim import AdamState, PlateauScheduler, adam_step, clip_global_norm
 from .data import MultiTaskBatch, SyntheticSpec, gen_synthetic

@@ -182,26 +182,39 @@ def _run(
     return amps
 
 
-def _check_bindings(circuit: Circuit, theta: Sequence[float], features: Sequence[float]) -> tuple:
+def bind(circuit: Circuit, theta: Sequence[float], features: np.ndarray,
+         observables: Sequence[PauliString] = ()) -> tuple:
+    """Checked ``(theta, features, amps)``: the bindings and one |0...0> row
+    per row of the (B, num_inputs) feature matrix.
+
+    Raises IndexError for an observable on a qubit outside the register and
+    CapacityError, before allocating, if the B rows of 2**Q amplitudes exceed
+    the simulator's amplitude budget.  A single row is a batch of one.
+    """
     theta = np.asarray(theta, dtype=float)
     features = np.asarray(features, dtype=float)
     if theta.shape != (circuit.num_trainable,):
         raise ValueError(
             f"expected {circuit.num_trainable} trainable values, got shape {theta.shape}"
         )
-    if features.shape != (circuit.num_inputs,):
+    if features.ndim != 2 or features.shape[1] != circuit.num_inputs:
         raise ValueError(
-            f"expected {circuit.num_inputs} input features, got shape {features.shape}"
+            f"expected (B, {circuit.num_inputs}) input features, got shape {features.shape}"
         )
-    return theta, features
+    for obs in observables:
+        if obs.max_qubit() >= circuit.num_qubits:
+            raise IndexError(f"observable {obs} out of range for Q={circuit.num_qubits}")
+    return theta, features, sv.zero_batch(circuit.num_qubits, features.shape[0])
 
 
 def evaluate(circuit: Circuit, theta: Sequence[float], features: Sequence[float]) -> Statevector:
-    """Run the circuit from |0...0> with concrete parameter bindings."""
-    theta, features = _check_bindings(circuit, theta, features)
-    state = sv.init_zero(circuit.num_qubits)
-    state.amplitudes = _run(state.amplitudes, circuit, theta, features)
-    return state
+    """Run the circuit from |0...0> with concrete parameter bindings.
+
+    Bound as a batch of one, run as 1-D amplitudes, so every gate block is
+    one shared 2x2 matrix.
+    """
+    theta, features, amps = bind(circuit, theta, np.asarray(features, dtype=float)[None])
+    return Statevector(circuit.num_qubits, _run(amps[0], circuit, theta, features[0]))
 
 
 def evaluate_expectations(
@@ -211,39 +224,10 @@ def evaluate_expectations(
     observables: Sequence[PauliString],
     override: Optional[dict] = None,
 ) -> np.ndarray:
-    """Exact expectation of each observable, in the given order."""
-    theta, features = _check_bindings(circuit, theta, features)
-    state = sv.init_zero(circuit.num_qubits)
-    amps = _run(state.amplitudes, circuit, theta, features, override=override)
-    out = np.empty(len(observables))
-    for i, obs in enumerate(observables):
-        if obs.max_qubit() >= circuit.num_qubits:
-            raise IndexError(f"observable {obs} out of range for Q={circuit.num_qubits}")
-        out[i] = expectation_of_amps(amps, obs, circuit.num_qubits)
-    return out
-
-
-def expectation_of_amps(amps: np.ndarray, obs: PauliString, num_qubits: int):
-    return sv.expectation_array(amps, obs.as_dict(), num_qubits)
-
-
-def batch_zero_state(circuit: Circuit, theta: Sequence[float], features: np.ndarray) -> tuple:
-    """Checked (theta, features) bindings and one |0...0> row per feature row.
-
-    Raises CapacityError, before allocating, if the B rows of 2**Q amplitudes
-    exceed the simulator's amplitude budget.
-    """
-    theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != circuit.num_inputs:
-        raise ValueError(
-            f"expected feature matrix (B, {circuit.num_inputs}), got {features.shape}"
-        )
-    if theta.shape != (circuit.num_trainable,):
-        raise ValueError(
-            f"expected {circuit.num_trainable} trainable values, got shape {theta.shape}"
-        )
-    return theta, features, sv.zero_batch(circuit.num_qubits, features.shape[0])
+    """Exact expectation of each observable for one feature row, in the given
+    order: row 0 of a batch of one."""
+    row = np.asarray(features, dtype=float)[None]
+    return evaluate_expectations_batch(circuit, theta, row, observables, override)[0]
 
 
 def evaluate_expectations_batch(
@@ -254,12 +238,11 @@ def evaluate_expectations_batch(
     override: Optional[dict] = None,
 ) -> np.ndarray:
     """Expectations for a batch of feature rows; returns (B, n_observables)."""
-    theta, features, amps = batch_zero_state(circuit, theta, features)
-    bsize = features.shape[0]
+    theta, features, amps = bind(circuit, theta, features, observables)
     amps = _run(amps, circuit, theta, features, override=override)
-    out = np.empty((bsize, len(observables)))
+    out = np.empty((features.shape[0], len(observables)))
     for i, obs in enumerate(observables):
-        out[:, i] = expectation_of_amps(amps, obs, circuit.num_qubits)
+        out[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
     return out
 
 

@@ -29,10 +29,10 @@ from .model import (
     QmtlModelConfig,
     SharedEncoderConfig,
     TaskHeadConfig,
-    _calibrate,
     count_params_classical,
     count_params_quantum,
     forward,
+    logits_from_raw,
     scaling_table,
 )
 from .noise import NoiseSpec, noisy_expectations
@@ -74,20 +74,26 @@ def load_config(args) -> dict:
     return config
 
 
-def _require(section: dict, key: str, where: str = "config"):
-    """``section[key]``, or a ConfigError naming the missing key."""
+def _require(section: dict, key: str, where: str = "config", kind: type = object):
+    """``section[key]``, or a ConfigError naming the missing key, a section
+    that is not an object, or a value that is not a ``kind``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
     if key not in section:
         raise ConfigError(f"{where} has no {key!r}")
-    return section[key]
+    value = section[key]
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _feature_dim(config: dict) -> int:
-    return _require(_require(config, "data"), "feature_dim", "data")
+    return _require(_require(config, "data"), "feature_dim", "data", int)
 
 
 def _heads(config: dict) -> list:
     """The config's head entries, each checked to be an object with a name."""
-    heads = _require(config, "heads")
+    heads = _require(config, "heads", kind=list)
     for i, h in enumerate(heads):
         if not isinstance(h, dict) or "name" not in h:
             raise ConfigError(f"head {i} has no 'name'")
@@ -97,8 +103,8 @@ def _heads(config: dict) -> list:
 def model_config_from(config: dict) -> QmtlModelConfig:
     enc = _require(config, "encoder")
     encoder = SharedEncoderConfig(
-        num_qubits=_require(enc, "qubits", "encoder"),
-        layers=_require(enc, "layers", "encoder"),
+        num_qubits=_require(enc, "qubits", "encoder", int),
+        layers=_require(enc, "layers", "encoder", int),
         entangling=enc.get("entangling", True),
     )
     feature_dim = _feature_dim(config)
@@ -111,8 +117,8 @@ def model_config_from(config: dict) -> QmtlModelConfig:
     for i, h in enumerate(_heads(config)):
         heads.append(TaskHeadConfig(
             name=h["name"],
-            qubits=_require(h, "qubits", f"head {i}"),
-            outputs=_require(h, "outputs", f"head {i}"),
+            qubits=_require(h, "qubits", f"head {i}", list),
+            outputs=_require(h, "outputs", f"head {i}", int),
             layers=h.get("layers", 1),
             k_theta=h.get("k_theta", 3),
             calibration=Calibration(kind=h.get("calibration", "none")),
@@ -142,8 +148,8 @@ def data_spec_from(config: dict, specs) -> SyntheticSpec:
     return SyntheticSpec(
         feature_dim=_feature_dim(config),
         tasks=specs,
-        n_train=_require(d, "n_train", "data"),
-        n_val=_require(d, "n_val", "data"),
+        n_train=_require(d, "n_train", "data", int),
+        n_val=_require(d, "n_val", "data", int),
         teacher_seed=d.get("teacher_seed", 0),
         noise_level=d.get("noise_level", 0.0),
     )
@@ -270,10 +276,7 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
             noisy_expectations(model.circuit, theta, x, obs, noise)
             for x in features
         ])
-        return {
-            head.name: _calibrate(head, raw[:, head.logit_slice], params)
-            for head in model.heads
-        }
+        return logits_from_raw(model, params, raw)
     rows = [forward(model, params, x, shots=shots, seed=(seed, i))
             for i, x in enumerate(features)]
     return {name: np.stack([r[name] for r in rows]) for name in model.task_names}
@@ -286,12 +289,14 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
 def cmd_params(args) -> int:
     config = load_config(args)
     if "scaling" in config:
-        s = config["scaling"]
-        rows = scaling_table(
-            task_counts=s["task_counts"], outputs=s["outputs"],
-            layers=s["layers"], k_theta=s["k_theta"],
-            head_layers=s["head_layers"], head_size=s["head_size"],
-        )
+        s = _require(config, "scaling", kind=dict)
+        counts = _require(s, "task_counts", "scaling", list)
+        if not all(isinstance(t, int) for t in counts):
+            raise ConfigError(f"scaling 'task_counts' must be integers, got {counts!r}")
+        rows = scaling_table(counts, **{
+            key: _require(s, key, "scaling", int)
+            for key in ("outputs", "layers", "k_theta", "head_layers", "head_size")
+        })
         print("T\td\tP_C\tP_Q\tratio\tratio*T")
         for row in rows:
             print(f"{row['T']}\t{row['d']}\t{row['P_C']}\t{row['P_Q']}"
@@ -329,8 +334,10 @@ def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_gradcheck(args) -> int:
     """Parameter shift (max_dev) and the adjoint training gradient with random
     observable weights (adjoint_dev), each against finite differences."""
-    if args.qubits > 8:
-        raise ConfigError("gradcheck supports at most 8 qubits")
+    if not 1 <= args.qubits <= 8:
+        raise ConfigError(f"gradcheck supports 1 to 8 qubits, got --qubits {args.qubits}")
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     shift = SHIFT * (1.01 if args.corrupt_shift else 1.0)
     seeds = _parse_int_list(args.seeds)
     print("seed\tmax_dev\tadjoint_dev\tstatus")
@@ -352,28 +359,18 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
-def _setup_run(args):
-    config = load_config(args)
-    specs = task_specs_from(config)
-    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
-    cfg = train_config_from(config, seed_override=seed)
-    train_data, val_data = gen_synthetic(data_spec_from(config, specs))
-    head_model = head_model_from(config, specs)
-    return config, specs, cfg, head_model, train_data, val_data
-
-
 def cmd_train(args) -> int:
-    config, specs, cfg, head_model, train_data, val_data = _setup_run(args)
-    result = train(head_model, train_data, val_data, specs, cfg)
-    report = evaluate(head_model, result.best_params, val_data, specs)
+    config = load_config(args)
+    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
+    specs, report, result = _train_and_eval(config, seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "history.jsonl", "w") as fh:
         for record in result.history:
             fh.write(json.dumps(record) + "\n")
-    write_checkpoint(out_dir / "checkpoint.json", config, result.best_params, cfg.seed)
-    summary = run_report(config, report, specs, cfg.seed, extra={
+    write_checkpoint(out_dir / "checkpoint.json", config, result.best_params, seed)
+    summary = run_report(config, report, specs, seed, extra={
         "history": "history.jsonl",
         "epochs_run": result.epochs_run,
         "monitor": result.best_value,

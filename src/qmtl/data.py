@@ -7,13 +7,12 @@ classification task is separable by construction at noise_level 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .losses import MISSING, TaskSpec
+from .losses import TaskSpec, sigmoid
 
 _MAX_TEACHER_DRAWS = 200
 
@@ -58,10 +57,6 @@ class MultiTaskBatch:
         )
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def _balanced(labels: np.ndarray, num_classes: int) -> bool:
     # every class carries at least 40% of its uniform share
     counts = np.bincount(labels, minlength=num_classes)
@@ -83,16 +78,36 @@ def _sparse_affine(rng, rows: int, d: int):
     return w, b
 
 
+def _interval_labels(rng, features, k: int):
+    """K classes from K intervals of one coordinate, with jittered cuts and a
+    random class order.
+
+    An argmax of K affine maps of one coordinate splits it into pieces of
+    very uneven width, so for K > 3 it rarely shows every class.  Cuts moved
+    at most 0.3/K from the K-quantiles of the uniform feature range give each
+    class at least 40% of its uniform share in expectation; the balance check
+    redraws the rare miss.
+    """
+    j = int(rng.integers(features.shape[1]))
+    levels = (np.arange(1, k) + rng.uniform(-0.3, 0.3, k - 1)) / k
+    cuts = np.pi * (2.0 * levels - 1.0)
+    return rng.permutation(k)[np.searchsorted(cuts, features[:, j])]
+
+
 def _draw_teacher_labels(rng, features, spec: TaskSpec):
-    """Affine teacher labels, re-drawing the teacher until classes balance."""
+    """Teacher labels, re-drawing the teacher until classes balance: an affine
+    argmax for K <= 3 classes, ``_interval_labels`` above."""
     d = features.shape[1]
     if spec.kind == "regression":
         w, b = _sparse_affine(rng, 1, d)
-        return _sigmoid(features @ w[0] + b[0])
+        return sigmoid(features @ w[0] + b[0])
     k = 2 if spec.kind == "binary" else spec.num_classes
     for _ in range(_MAX_TEACHER_DRAWS):
-        w, b = _sparse_affine(rng, k, d)
-        labels = np.argmax(features @ w.T + b, axis=1)
+        if k > 3:
+            labels = _interval_labels(rng, features, k)
+        else:
+            w, b = _sparse_affine(rng, k, d)
+            labels = np.argmax(features @ w.T + b, axis=1)
         if _balanced(labels, k):
             return labels
     raise ConfigError(f"could not draw a balanced teacher for task {spec.name!r}")

@@ -25,10 +25,9 @@ from .circuit import (
     ROTATION_KINDS,
     _resolve,
     _run,
-    batch_zero_state,
+    bind,
     evaluate_expectations,
     evaluate_expectations_batch,
-    expectation_of_amps,
     gate_blocks,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
@@ -52,19 +51,16 @@ def _occurrences(circuit: Circuit, kind: str) -> list:
     return occ
 
 
-def _shift_jacobian(circuit, theta, features, observables, kind, shift, batched):
+def _shift_jacobian(circuit, theta, features, observables, kind, shift):
+    """(B, n_obs, n) shift-rule Jacobian over a (B, d) feature matrix."""
     occ = _occurrences(circuit, kind)
-    if batched:
-        evalf = lambda ov: evaluate_expectations_batch(circuit, theta, features, observables, ov)
-        shape = (features.shape[0], len(observables), len(occ))
-    else:
-        evalf = lambda ov: evaluate_expectations(circuit, theta, features, observables, ov)
-        shape = (len(observables), len(occ))
-    jac = np.zeros(shape)
+    jac = np.zeros((len(features), len(observables), len(occ)))
     for index, places in enumerate(occ):
         for place in places:
-            plus = evalf({place: shift})
-            minus = evalf({place: -shift})
+            plus = evaluate_expectations_batch(circuit, theta, features, observables,
+                                               {place: shift})
+            minus = evaluate_expectations_batch(circuit, theta, features, observables,
+                                                {place: -shift})
             jac[..., index] += (plus - minus) / 2.0
     return jac
 
@@ -76,14 +72,14 @@ def param_shift_jacobian(
     observables: Sequence[PauliString],
     shift: float = SHIFT,
 ) -> np.ndarray:
-    """d<O_i>/d theta_j, exact for Pauli-generated rotations.
+    """d<O_i>/d theta_j for one feature row, exact for Pauli-generated
+    rotations: row 0 of ``param_shift_jacobian_batch`` over a batch of one.
 
     ``shift`` exists as a verification hook; anything other than pi/2
     deliberately breaks exactness.
     """
-    theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
-    return _shift_jacobian(circuit, theta, features, observables, "theta", shift, batched=False)
+    row = np.asarray(features, dtype=float)[None]
+    return _shift_jacobian(circuit, theta, row, observables, "theta", shift)[0]
 
 
 def param_shift_jacobian_batch(
@@ -94,9 +90,7 @@ def param_shift_jacobian_batch(
     shift: float = SHIFT,
 ) -> np.ndarray:
     """(B, n_obs, n_theta) Jacobian over a batch of feature rows."""
-    theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
-    return _shift_jacobian(circuit, theta, features, observables, "theta", shift, batched=True)
+    return _shift_jacobian(circuit, theta, features, observables, "theta", shift)
 
 
 def input_shift_jacobian_batch(
@@ -107,9 +101,7 @@ def input_shift_jacobian_batch(
     shift: float = SHIFT,
 ) -> np.ndarray:
     """(B, n_obs, n_inputs) Jacobian wrt input-bound rotation angles."""
-    theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
-    return _shift_jacobian(circuit, theta, features, observables, "input", shift, batched=True)
+    return _shift_jacobian(circuit, theta, features, observables, "input", shift)
 
 
 def finite_diff_jacobian(
@@ -123,7 +115,6 @@ def finite_diff_jacobian(
     if eps <= 0:
         raise ValueError("eps must be positive")
     theta = np.asarray(theta, dtype=float)
-    features = np.asarray(features, dtype=float)
     jac = np.zeros((len(observables), circuit.num_trainable))
     for j in range(circuit.num_trainable):
         up = theta.copy()
@@ -200,14 +191,14 @@ def adjoint_vjp(
     states are un-computed, never stored, so memory stays at psi, lambda
     and one scratch array.
     """
-    theta, features, psi = batch_zero_state(circuit, theta, features)
+    theta, features, psi = bind(circuit, theta, features, observables)
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
     psi = _run(psi, circuit, theta, features)
     raw = np.empty((psi.shape[0], len(observables)))
     lam = np.zeros_like(psi)
     for o, obs in enumerate(observables):
-        raw[:, o] = expectation_of_amps(psi, obs, nq)
+        raw[:, o] = sv.expectation_array(psi, obs.as_dict(), nq)
         lam += weights[:, o, None] * sv.apply_pauli_string(psi, obs.as_dict(), nq)
 
     dtheta = np.zeros(circuit.num_trainable)

@@ -6,12 +6,12 @@ contribute zero loss and zero gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateBatchError
+from .errors import ConfigError
 
 MISSING = -100
 
@@ -36,14 +36,23 @@ class TaskSpec:
             raise ConfigError("multiclass tasks need num_classes >= 2")
         if self.lambda_weight < 0:
             raise ConfigError("lambda_weight must be >= 0")
+        from .metrics import METRIC_TAGS  # metrics imports MISSING from here
+
         self.metrics = tuple(self.metrics)
+        if not self.metrics:
+            raise ConfigError(f"task {self.name!r} needs at least one metric")
+        for tag in self.metrics:
+            if tag not in METRIC_TAGS:
+                raise ConfigError(
+                    f"task {self.name!r}: unknown metric tag {tag!r}; expected one of {METRIC_TAGS}"
+                )
 
     @property
     def num_logits(self) -> int:
         return self.num_classes if self.kind == "multiclass" else 1
 
 
-def _sigmoid(x):
+def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
@@ -57,7 +66,7 @@ def binary_loss_batch(logits: np.ndarray, labels: np.ndarray):
     z = logits.reshape(-1)
     sign = 2.0 * labels - 1.0
     values = np.logaddexp(0.0, -sign * z)
-    dlogits = (-sign * _sigmoid(-sign * z)).reshape(-1, 1)
+    dlogits = (-sign * sigmoid(-sign * z)).reshape(-1, 1)
     return values, dlogits
 
 
@@ -103,31 +112,6 @@ def regression_loss_batch(logits: np.ndarray, targets: np.ndarray):
     return diff**2, (2.0 * diff).reshape(-1, 1)
 
 
-def loss(kind: str, logits: Sequence[float], label, *,
-         class_weights: Optional[np.ndarray] = None,
-         focal_gamma: Optional[float] = None,
-         focal_alpha: float = 1.0) -> tuple:
-    """Single-sample loss; returns (value, skipped_flag)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    if kind == "regression":
-        if label == MISSING:
-            return 0.0, True
-        values, _ = regression_loss_batch(logits, np.array([float(label)]))
-    elif kind == "binary":
-        if label == MISSING:
-            return 0.0, True
-        values, _ = binary_loss_batch(logits, np.array([float(label)]))
-    elif kind == "multiclass":
-        if label == MISSING:
-            return 0.0, True
-        values, _ = multiclass_loss_batch(
-            logits, np.array([label]), class_weights, focal_gamma, focal_alpha
-        )
-    else:
-        raise ConfigError(f"unknown loss kind {kind!r}")
-    return float(values[0]), False
-
-
 def task_loss_and_grad(spec: TaskSpec, logits: np.ndarray, labels: np.ndarray) -> tuple:
     """Mean loss over labeled entries and dL/dlogits, with MISSING masked out.
 
@@ -162,33 +146,6 @@ def class_weights(counts: Sequence[int], total: int, num_classes: int) -> np.nda
     if np.any(counts <= 0):
         raise ConfigError("class_weights requires every class count > 0")
     return total / (num_classes * counts)
-
-
-def mtl_loss(per_task_losses: Sequence[float], lambdas: Sequence[float],
-             num_samples: int, skipped: Optional[Sequence[bool]] = None) -> float:
-    """Weighted multi-task objective (1/N) * sum_t lambda_t * L_t."""
-    if len(per_task_losses) != len(lambdas):
-        raise ValueError("losses and lambdas must align")
-    if skipped is None:
-        skipped = [False] * len(per_task_losses)
-    terms = [
-        lam * value
-        for value, lam, skip in zip(per_task_losses, lambdas, skipped)
-        if not skip
-    ]
-    if not terms:
-        raise DegenerateBatchError("all task losses were skipped")
-    return float(sum(terms) / num_samples)
-
-
-def binarize_3class(p_neg: float, p_pos: float) -> float:
-    """Positive probability after dropping the uncertain class and renormalizing."""
-    if p_neg < 0 or p_pos < 0:
-        raise ValueError("probabilities must be non-negative")
-    total = p_neg + p_pos
-    if total == 0:
-        raise DegenerateBatchError("no probability mass on negative/positive classes")
-    return p_pos / total
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

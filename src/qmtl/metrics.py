@@ -129,14 +129,9 @@ def spearman(preds, labels) -> MetricResult:
 
 
 def compute_metric(tag: str, preds, labels, num_classes: int = 2) -> MetricResult:
-    if tag == "accuracy":
-        return accuracy(preds, labels)
+    if tag not in METRIC_TAGS:
+        raise ValueError(f"unknown metric tag {tag!r}")
     if tag in ("precision", "recall", "f1"):
         return _prf(preds, labels, num_classes, tag)
-    if tag == "mcc":
-        return mcc(preds, labels)
-    if tag == "pearson":
-        return pearson(preds, labels)
-    if tag == "spearman":
-        return spearman(preds, labels)
-    raise ValueError(f"unknown metric tag {tag!r}")
+    return {"accuracy": accuracy, "mcc": mcc, "pearson": pearson,
+            "spearman": spearman}[tag](preds, labels)

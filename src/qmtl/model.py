@@ -15,7 +15,7 @@ import numpy as np
 from .circuit import (
     Circuit,
     GateOp,
-    evaluate_expectations,
+    evaluate,
     evaluate_expectations_batch,
     feature,
     group_commuting,
@@ -274,11 +274,8 @@ class QmtlModel:
         rng = np.random.default_rng(seed)
         params = np.empty(self.num_params)
         params[: self.num_circuit_params] = rng.uniform(0.0, 2 * np.pi, self.num_circuit_params)
-        offset = self.num_circuit_params
         for head in self.heads:
-            vals = head.calibration.initial_values(head.outputs)
-            params[head.calib_slice] = vals
-            offset += len(vals)
+            params[head.calib_slice] = head.calibration.initial_values(head.outputs)
         return params
 
 
@@ -353,6 +350,14 @@ def _calibrate(head: AssembledHead, raw: np.ndarray, params: np.ndarray) -> np.n
     return raw
 
 
+def logits_from_raw(model: QmtlModel, params: np.ndarray, raw: np.ndarray) -> dict:
+    """Per-task calibrated logits from raw expectations of shape (..., n_observables)."""
+    return {
+        head.name: _calibrate(head, raw[..., head.logit_slice], params)
+        for head in model.heads
+    }
+
+
 def forward(
     model: QmtlModel,
     params: np.ndarray,
@@ -360,41 +365,33 @@ def forward(
     shots: Optional[int] = None,
     seed: Union[int, Sequence[int]] = 0,
 ) -> dict:
-    """Per-task logits for one feature vector.
+    """Per-task logits for one feature vector.  The exact logits are row 0
+    of ``forward_batch`` over a batch of one.
 
     With ``shots`` set, observables are estimated by sampling commuting
     groups instead of exact expectation values; group ``gi`` draws from
     ``default_rng([*seed, gi])`` (an int seed counts as ``(seed,)``), so a
     caller that passes ``(seed, row)`` gets one stream per (seed, row, group).
     """
-    theta = params[: model.num_circuit_params]
-    observables = list(model.observables)
     if shots is None:
-        raw = evaluate_expectations(model.circuit, theta, features, observables)
-    else:
-        from .circuit import evaluate
-
-        state = evaluate(model.circuit, theta, features)
-        values = {}
-        for gi, group in enumerate(group_commuting(observables)):
-            ests = sample_expectation(state, group, shots, [*np.atleast_1d(seed), gi])
-            for obs, est in zip(group, ests):
-                values[id(obs)] = est
-        raw = np.array([values[id(obs)] for obs in observables])
-    return {
-        head.name: _calibrate(head, raw[head.logit_slice], params)
-        for head in model.heads
-    }
+        logits = forward_batch(model, params, np.asarray(features, dtype=float)[None])
+        return {name: rows[0] for name, rows in logits.items()}
+    state = evaluate(model.circuit, params[: model.num_circuit_params], features)
+    observables = list(model.observables)
+    values = {}
+    for gi, group in enumerate(group_commuting(observables)):
+        ests = sample_expectation(state, group, shots, [*np.atleast_1d(seed), gi])
+        for obs, est in zip(group, ests):
+            values[id(obs)] = est
+    raw = np.array([values[id(obs)] for obs in observables])
+    return logits_from_raw(model, params, raw)
 
 
 def forward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray) -> dict:
     """Per-task logit matrices (B, r_t) for a batch of feature rows."""
     theta = params[: model.num_circuit_params]
     raw = evaluate_expectations_batch(model.circuit, theta, features, list(model.observables))
-    return {
-        head.name: _calibrate(head, raw[:, head.logit_slice], params)
-        for head in model.heads
-    }
+    return logits_from_raw(model, params, raw)
 
 
 def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
@@ -454,10 +451,6 @@ def count_params_quantum(config: QmtlModelConfig) -> ParamBudget:
     return ParamBudget(shared=shared, per_head=per_head)
 
 
-def count_params_calibration(config: QmtlModelConfig) -> int:
-    return sum(head.calibration.num_params(head.outputs) for head in config.heads)
-
-
 def count_params_classical(feature_dim: int, outputs_per_task: Sequence[int]) -> int:
     """One linear layer per task: sum_t r_t * (d + 1)."""
     if feature_dim < 1:
@@ -474,7 +467,7 @@ def scaling_table(
     head_size: int,
 ) -> list:
     """Rows of (T, d=S*T*L, P_C, P_Q, ratio) under the equal-size idealization."""
-    if min(outputs, layers, k_theta, head_layers, head_size) < 1:
+    if min(outputs, layers, k_theta, head_layers, head_size, *task_counts) < 1:
         raise ConfigError("scaling_table arguments must all be positive")
     rows = []
     for t in task_counts:
@@ -580,17 +573,6 @@ class ClassicalHeadModel:
             grad[w_slice] = (d.T @ features).ravel()
             grad[b_slice] = d.sum(axis=0)
         return grad
-
-
-def classical_head_forward(weights: np.ndarray, bias: np.ndarray,
-                           features: np.ndarray) -> np.ndarray:
-    """Single-task affine map W @ Z + b (features may be a batch)."""
-    features = np.asarray(features, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    if weights.shape[1] != features.shape[-1]:
-        raise ValueError("weight and feature dimensions do not match")
-    return features @ weights.T + bias
 
 
 def build_hqnn_circuit(num_qubits: int) -> Circuit:
@@ -721,9 +703,3 @@ class HqnnHeadModel:
             grad[w_slice] = (d.T @ scaled).ravel()
             grad[b_slice] = d.sum(axis=0)
         return grad
-
-
-def build_hqnn_baseline(feature_dim: int, num_qubits: int,
-                        outputs_per_task: Sequence[int],
-                        task_names: Sequence[str]) -> HqnnHeadModel:
-    return HqnnHeadModel(feature_dim, num_qubits, outputs_per_task, task_names)

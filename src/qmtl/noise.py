@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import statevector as sv
-from .circuit import Circuit, _check_bindings, _run, evaluate_expectations
+from .circuit import Circuit, _run, bind, evaluate_expectations
 from .statevector import MAX_QUBITS, PauliString
 
 
@@ -59,7 +59,11 @@ def noisy_expectations(
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         return evaluate_expectations(circuit, theta, features, observables)
 
-    theta, features = _check_bindings(circuit, theta, features)
+    # one feature row, bound as a batch of one; a (T, d) matrix is refused, as
+    # it would broadcast along the trajectory axis
+    theta, features, _ = bind(circuit, theta, np.asarray(features, dtype=float)[None],
+                              observables)
+    features = features[0]
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 

@@ -9,6 +9,7 @@ runs are bit-identical at a fixed seed.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -23,6 +24,9 @@ from .metrics import compute_metric
 from .optim import AdamState, PlateauScheduler, adam_step, clip_global_norm
 
 PROTOCOLS = ("task_sampled", "parallel", "masked_parallel")
+_REAL_FIELDS = ("lr", "weight_decay", "clip_norm", "scheduler_factor", "min_lr")
+_COUNT_FIELDS = ("epochs", "batch_size", "eval_every", "scheduler_patience",
+                 "early_stop_patience", "seed")
 
 
 @dataclass
@@ -43,8 +47,19 @@ class TrainConfig:
     eval_every: int = 1                # epochs between validation passes
 
     def __post_init__(self):
-        if self.lr <= 0 or self.clip_norm <= 0:
+        for names, kind, what in ((_REAL_FIELDS, numbers.Real, "a number"),
+                                  (_COUNT_FIELDS, numbers.Integral, "an integer")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"train {name!r} must be {what}, got {value!r}")
+        if self.cap is not None and not isinstance(self.cap, numbers.Integral):
+            raise ConfigError(f"train 'cap' must be an integer or null, got {self.cap!r}")
+        if not (self.lr > 0 and self.clip_norm > 0):
             raise ConfigError("lr and clip_norm must be positive")
+        for name, lowest in (("epochs", 1), ("batch_size", 1), ("eval_every", 1), ("seed", 0)):
+            if getattr(self, name) < lowest:
+                raise ConfigError(f"train {name!r} must be >= {lowest}, got {getattr(self, name)}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.optimizer not in ("adam", "adamw"):

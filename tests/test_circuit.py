@@ -23,6 +23,7 @@ from qmtl.circuit import (
     trainable,
 )
 from qmtl.errors import CapacityError
+from qmtl.gradients import adjoint_vjp
 from qmtl.statevector import (
     MAX_QUBITS,
     apply_1q,
@@ -141,6 +142,23 @@ def test_evaluate_expectations_batch_matches_loop():
     for i, row in enumerate(features):
         single = evaluate_expectations(circuit, theta, row, observables)
         np.testing.assert_allclose(batch[i], single, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z0*Z3"])
+def test_observable_outside_register_refused_on_batches(spec):
+    # two rows of 3 qubits are 16 amplitudes, which a qubit-3 Pauli would
+    # read as one 4-qubit state unless the binding check refuses it
+    rng = np.random.default_rng(0)
+    circuit = random_circuit(3, 12, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    features = rng.uniform(-np.pi, np.pi, (2, 2))
+    observables = [pauli("Z0"), pauli(spec)]
+    with pytest.raises(IndexError):
+        evaluate_expectations_batch(circuit, theta, features, observables)
+    with pytest.raises(IndexError):
+        adjoint_vjp(circuit, theta, features, observables, np.ones((2, 2)))
+    with pytest.raises(IndexError):
+        evaluate_expectations(circuit, theta, features[0], observables)
 
 
 def test_text_roundtrip():

@@ -66,6 +66,12 @@ def test_gradcheck_rejects_large_systems(capsys):
     assert main(["gradcheck", "--qubits", "9"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--qubits", "--depth"])
+def test_gradcheck_rejects_empty_circuits(capsys, flag):
+    err = _fails_cleanly(["gradcheck", flag, "0", "--seeds", "0"], capsys)
+    assert flag in err
+
+
 def test_config_and_preset_are_exclusive(tiny_config):
     assert main(["params", "--config", tiny_config, "--preset", "toy"]) == 1
 
@@ -314,3 +320,43 @@ def test_shot_streams_are_distinct_and_reproducible(monkeypatch):
     again = eval_logits(head_model, params, features, shots=64, seed=5)
     for name in first:
         np.testing.assert_array_equal(first[name], again[name])
+
+
+_BAD_TRAIN_KEYS = {
+    "batch_size": 0,
+    "eval_every": 0,
+    "lr": "x",
+    "epochs": 0,
+    "seed": -1,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BAD_TRAIN_KEYS))
+def test_bad_train_key_fails_cleanly(tmp_path, capsys, key):
+    def edit(cfg):
+        cfg["train"][key] = _BAD_TRAIN_KEYS[key]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, "train", edit), capsys)
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
+_BAD_SHAPES = {
+    "heads": (lambda cfg: cfg.update(heads=5), "heads"),
+    "encoder": (lambda cfg: cfg.update(encoder=4), "encoder"),
+    "metric": (lambda cfg: cfg["heads"][0].update(metrics=["accuracy", "auroc"]), "auroc"),
+    # the scaling table is read by `params` only
+    "scaling": (lambda cfg: cfg.update(scaling={}), "task_counts"),
+    "task_counts": (lambda cfg: cfg.update(scaling=dict(
+        get_preset("theorem1")["scaling"], task_counts=3)), "task_counts"),
+}
+
+
+@pytest.mark.parametrize("command, fault", [
+    (command, fault) for fault in sorted(_BAD_SHAPES) for command in ("params", "train")
+    if command == "params" or fault not in ("scaling", "task_counts")
+])
+def test_bad_config_shape_fails_cleanly(tmp_path, capsys, command, fault):
+    edit, needle = _BAD_SHAPES[fault]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert needle in err
+    assert not (tmp_path / "run").exists()

@@ -66,6 +66,21 @@ def test_labels_are_threshold_functions_of_one_coordinate():
     assert int(np.sum(ys[1:] != ys[:-1])) == 1
 
 
+@pytest.mark.parametrize("k", [4, 9])
+def test_many_class_teacher_is_balanced_intervals_of_one_coordinate(k):
+    # K > 3 classes: sorted by the active coordinate, the labels form exactly
+    # K contiguous runs, one per class, each within the balance rule
+    for seed in range(3):
+        train, val = gen_synthetic(_spec(
+            tasks=(TaskSpec("m", "multiclass", num_classes=k),), teacher_seed=seed))
+        x = np.vstack([train.features, val.features])
+        y = np.concatenate([train.labels["m"], val.labels["m"]])
+        counts = np.bincount(y, minlength=k)
+        assert counts.min() >= 0.4 / k * len(y)
+        runs = [int(np.sum(np.diff(y[np.argsort(x[:, j])]) != 0)) + 1 for j in range(12)]
+        assert min(runs) == k
+
+
 def test_label_noise_flips_fraction():
     clean, _ = gen_synthetic(_spec())
     noisy, _ = gen_synthetic(_spec(noise_level=0.2))

@@ -25,7 +25,7 @@ from qmtl.model import (
     SharedEncoderConfig,
     TaskHeadConfig,
 )
-from qmtl.presets import get_preset
+from qmtl.presets import PRESETS, get_preset
 from qmtl.statevector import PauliString, pauli
 
 
@@ -145,6 +145,18 @@ def test_loss_gradient_all_missing_raises():
     with pytest.raises(DegenerateBatchError):
         loss_gradient(model, params, np.zeros((2, 2)),
                       {"u": np.array([MISSING, MISSING])}, specs)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in PRESETS if "heads" in PRESETS[n]))
+def test_every_preset_builds_data_and_takes_a_step(name):
+    config = get_preset(name)
+    specs = cli.task_specs_from(config)
+    train, _ = gen_synthetic(cli.data_spec_from(config, specs))
+    model = cli.head_model_from(config, specs)
+    sub = train.subset(np.arange(4))
+    value, grad = loss_gradient(model, model.init_params(0), sub.features, sub.labels, specs)
+    assert np.isfinite(value) and grad.shape == (model.num_params,)
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
 
 def test_corrupted_shift_detected():

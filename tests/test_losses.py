@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from qmtl.errors import ConfigError, DegenerateBatchError
+from qmtl.errors import ConfigError
 from qmtl.losses import (
     MISSING,
     TaskSpec,
-    binarize_3class,
     binary_loss_batch,
     class_weights,
-    loss,
-    mtl_loss,
     multiclass_loss_batch,
     regression_loss_batch,
     softmax,
@@ -87,15 +84,6 @@ def test_regression_loss():
     assert grad[0, 0] == pytest.approx(1.0)
 
 
-def test_single_sample_loss_skips_missing():
-    value, skipped = loss("binary", [0.3], MISSING)
-    assert value == 0.0 and skipped
-    value, skipped = loss("binary", [0.0], 1)
-    assert value == pytest.approx(np.log(2)) and not skipped
-    with pytest.raises(ConfigError):
-        loss("nope", [0.0], 1)
-
-
 def test_task_loss_and_grad_masks_missing():
     spec = TaskSpec("t", "binary")
     logits = np.array([[0.0], [5.0], [-5.0]])
@@ -132,22 +120,6 @@ def test_class_weights():
         class_weights([10, 0, 90], 100, 3)
 
 
-def test_mtl_loss():
-    assert mtl_loss([1.0, 3.0], [1.0, 1.0], 1) == pytest.approx(4.0)
-    assert mtl_loss([1.0, 3.0], [1.0, 0.2], 2) == pytest.approx(0.8)
-    assert mtl_loss([1.0, 3.0], [1.0, 1.0], 1, skipped=[False, True]) == pytest.approx(1.0)
-    with pytest.raises(DegenerateBatchError):
-        mtl_loss([1.0], [1.0], 1, skipped=[True])
-
-
-def test_binarize_3class():
-    assert binarize_3class(0.2, 0.6) == pytest.approx(0.75)
-    with pytest.raises(DegenerateBatchError):
-        binarize_3class(0.0, 0.0)
-    with pytest.raises(ValueError):
-        binarize_3class(-0.1, 0.5)
-
-
 def test_softmax_stable():
     probs = softmax(np.array([1000.0, 1000.0, 1000.0]))
     np.testing.assert_allclose(probs, [1 / 3] * 3)
@@ -160,5 +132,9 @@ def test_task_spec_validation():
         TaskSpec("t", "multiclass", num_classes=1)
     with pytest.raises(ConfigError):
         TaskSpec("t", "binary", lambda_weight=-1.0)
+    with pytest.raises(ConfigError, match="auroc"):
+        TaskSpec("t", "binary", metrics=("accuracy", "auroc"))
+    with pytest.raises(ConfigError):
+        TaskSpec("t", "binary", metrics=())
     assert TaskSpec("t", "multiclass", num_classes=3).num_logits == 3
     assert TaskSpec("t", "regression").num_logits == 1
