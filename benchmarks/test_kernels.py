@@ -1,18 +1,27 @@
-"""Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13.
+"""Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, and of
+one noisy block on a density matrix at Q = 4 and 10.
 
 Run from the repository root with
 
     pytest benchmarks --benchmark-only
 
+or, to run each case once as a smoke test without timing it,
+
+    pytest benchmarks --benchmark-disable
+
 They sit outside the test suite's ``testpaths``, so a plain ``pytest`` never
 collects or times them.  Batch sizes keep B * 2**Q at or below 2**15
 amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
+A density matrix is one row of 4**Q amplitudes, as ``noise.noisy_expectations``
+runs it.
 """
 
 import numpy as np
 import pytest
 
-from qmtl.statevector import apply_cnot_array, apply_matrix
+from qmtl.circuit import Circuit, GateOp, _run, const
+from qmtl.noise import _density_channel
+from qmtl.statevector import apply_cnot_array, apply_matrix, zero_batch
 
 # (Q, B): qubits and rows
 SIZES = [(4, 64), (10, 32), (13, 4)]
@@ -45,3 +54,26 @@ def test_apply_cnot_array(benchmark, nq, rows):
     amps = _amps(nq, rows, np.random.default_rng(0))
     out = benchmark(apply_cnot_array, amps, 0, nq - 1, nq)
     assert out.shape == amps.shape
+
+
+DENSITY_QUBITS = (4, 10)
+
+
+def _density_cases():
+    for nq in DENSITY_QUBITS:
+        for qubit in (0, nq - 1):
+            yield pytest.param(nq, GateOp("ry", (qubit,), (const(0.3),)),
+                               id=f"Q{nq}-ry-q{qubit}")
+        yield pytest.param(nq, GateOp("cnot", (0, nq - 1)), id=f"Q{nq}-cnot")
+
+
+@pytest.mark.parametrize("nq,op", list(_density_cases()))
+def test_density_matrix_block(benchmark, nq, op):
+    """One gate block under p1 = p2 = 0.01 on a one-row rho, through
+    ``circuit._run`` with ``noise._density_channel``."""
+    circuit = Circuit(nq, [op])
+    rho = zero_batch(2 * nq, 1)
+    out = benchmark(_run, rho, circuit, np.empty(0), np.empty(0),
+                    after_block=_density_channel(circuit, 0.01, 0.01))
+    assert out.shape == rho.shape
+    assert np.real(out[0, ::(1 << nq) + 1].sum()) == pytest.approx(1.0)

@@ -156,29 +156,29 @@ def _run(
     theta: np.ndarray,
     features: np.ndarray,
     override: Optional[dict] = None,
-    noise_hook=None,
+    blocks: Optional[list] = None,
+    after_block=None,
 ) -> np.ndarray:
-    """Apply all ops to ``amps`` (shape (..., 2**Q)), one ``gate_blocks``
-    block per kernel call.
+    """Apply all ops to ``amps`` (shape (..., 2**n)), one block per kernel call.
 
+    The register may be wider than the circuit (n >= Q): the ops act on its
+    qubits 0..Q-1, which are the row bits of a density matrix stored as
+    2Q-qubit amplitudes.  ``blocks`` defaults to ``gate_blocks(circuit)``.
     ``override`` maps (op_index, slot) -> additive angle shift for a single
-    gate occurrence.  ``noise_hook(amps, op) -> amps`` runs after every gate:
-    with a hook, each gate is a block of its own, in circuit order.
+    gate occurrence.  ``after_block(amps, block, mat) -> amps`` runs after
+    every block, with the block's 2x2 matrix (None for a CNOT).
     """
-    nq = circuit.num_qubits
-    if noise_hook is None:
-        blocks = gate_blocks(circuit)
-    else:
-        blocks = [(op_idx,) for op_idx in range(len(circuit.ops))]
-    for block in blocks:
+    nq = amps.shape[-1].bit_length() - 1
+    for block in gate_blocks(circuit) if blocks is None else blocks:
         op = circuit.ops[block[0]]
         if op.kind == "cnot":
+            mat = None
             amps = sv.apply_cnot_array(amps, op.qubits[0], op.qubits[1], nq)
         else:
             mat = _block_matrix(circuit, block, theta, features, override)
             amps = sv.apply_matrix(amps, mat, op.qubits[0], nq)
-        if noise_hook is not None:
-            amps = noise_hook(amps, op)
+        if after_block is not None:
+            amps = after_block(amps, block, mat)
     return amps
 
 

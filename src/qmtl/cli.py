@@ -35,14 +35,15 @@ from .model import (
     logits_from_raw,
     scaling_table,
 )
-from .noise import NoiseSpec, noisy_expectations
+from .noise import NoiseSpec, engine, noisy_expectations
 from .presets import PRESETS, get_preset
-from .statevector import PauliString
+from .statevector import MAX_QUBITS, PauliString
 from .trainer import TrainConfig, evaluate, report_from_logits, train
 
 VARIANTS = ("qmtl", "classical", "hqnn")
 CHECKPOINT_VERSION = 1
 HQNN_QUBITS = 4
+NUMBER = (int, float)
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +75,27 @@ def load_config(args) -> dict:
     return config
 
 
-def _require(section: dict, key: str, where: str = "config", kind: type = object):
+def _require(section: dict, key: str, where: str = "config", kind=object):
     """``section[key]``, or a ConfigError naming the missing key, a section
-    that is not an object, or a value that is not a ``kind``."""
+    that is not an object, or a value that is not a ``kind`` (a type or a
+    tuple of types)."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {section!r}")
     if key not in section:
         raise ConfigError(f"{where} has no {key!r}")
     value = section[key]
     if not isinstance(value, kind):
-        raise ConfigError(f"{where} {key!r} must be a {kind.__name__}, got {value!r}")
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ConfigError(f"{where} {key!r} must be a {names}, got {value!r}")
     return value
+
+
+def _optional(section: dict, key: str, default, where: str = "config", kind=object):
+    """``section[key]`` checked as ``_require`` checks it, or ``default`` when
+    the key is absent."""
+    if isinstance(section, dict) and key not in section:
+        return default
+    return _require(section, key, where, kind)
 
 
 def _feature_dim(config: dict) -> int:
@@ -105,7 +116,7 @@ def model_config_from(config: dict) -> QmtlModelConfig:
     encoder = SharedEncoderConfig(
         num_qubits=_require(enc, "qubits", "encoder", int),
         layers=_require(enc, "layers", "encoder", int),
-        entangling=enc.get("entangling", True),
+        entangling=_optional(enc, "entangling", True, "encoder", bool),
     )
     feature_dim = _feature_dim(config)
     if feature_dim != encoder.feature_dim:
@@ -119,26 +130,27 @@ def model_config_from(config: dict) -> QmtlModelConfig:
             name=h["name"],
             qubits=_require(h, "qubits", f"head {i}", list),
             outputs=_require(h, "outputs", f"head {i}", int),
-            layers=h.get("layers", 1),
-            k_theta=h.get("k_theta", 3),
-            calibration=Calibration(kind=h.get("calibration", "none")),
+            layers=_optional(h, "layers", 1, f"head {i}", int),
+            k_theta=_optional(h, "k_theta", 3, f"head {i}", int),
+            calibration=Calibration(kind=_optional(h, "calibration", "none", f"head {i}", str)),
         ))
     return QmtlModelConfig(encoder, heads)
 
 
 def task_specs_from(config: dict) -> list:
     specs = []
-    for h in _heads(config):
+    for i, h in enumerate(_heads(config)):
+        where = f"head {i}"
         specs.append(TaskSpec(
             name=h["name"],
-            kind=h.get("kind", "binary"),
-            num_classes=h.get("num_classes", 2),
-            lambda_weight=h.get("lambda", 1.0),
-            metrics=tuple(h.get("metrics", ["accuracy"])),
-            loss=h.get("loss", "default"),
-            focal_gamma=h.get("focal_gamma", 2.0),
-            focal_alpha=h.get("focal_alpha", 1.0),
-            eval_binarize=h.get("eval_binarize", False),
+            kind=_optional(h, "kind", "binary", where, str),
+            num_classes=_optional(h, "num_classes", 2, where, int),
+            lambda_weight=_optional(h, "lambda", 1.0, where, NUMBER),
+            metrics=tuple(_optional(h, "metrics", ["accuracy"], where, list)),
+            loss=_optional(h, "loss", "default", where, str),
+            focal_gamma=_optional(h, "focal_gamma", 2.0, where, NUMBER),
+            focal_alpha=_optional(h, "focal_alpha", 1.0, where, NUMBER),
+            eval_binarize=_optional(h, "eval_binarize", False, where, bool),
         ))
     return specs
 
@@ -150,13 +162,17 @@ def data_spec_from(config: dict, specs) -> SyntheticSpec:
         tasks=specs,
         n_train=_require(d, "n_train", "data", int),
         n_val=_require(d, "n_val", "data", int),
-        teacher_seed=d.get("teacher_seed", 0),
-        noise_level=d.get("noise_level", 0.0),
+        teacher_seed=_optional(d, "teacher_seed", 0, "data", int),
+        noise_level=_optional(d, "noise_level", 0.0, "data", NUMBER),
     )
 
 
+def _train_section(config: dict) -> dict:
+    return _optional(config, "train", {}, kind=dict)
+
+
 def train_config_from(config: dict, seed_override=None) -> TrainConfig:
-    t = dict(config.get("train", {}))
+    t = dict(_train_section(config))
     if seed_override is not None:
         t["seed"] = seed_override
     known = {f for f in TrainConfig.__dataclass_fields__}
@@ -166,19 +182,30 @@ def train_config_from(config: dict, seed_override=None) -> TrainConfig:
     return TrainConfig(**t)
 
 
-def head_model_from(config: dict, specs):
-    variant = config.get("variant", "qmtl")
+def _hqnn_qubits(config: dict) -> int:
+    hqnn = _optional(config, "hqnn", {}, kind=dict)
+    return _optional(hqnn, "qubits", HQNN_QUBITS, "hqnn", int)
+
+
+def _variant(config: dict) -> str:
+    variant = _optional(config, "variant", "qmtl", kind=str)
     if variant not in VARIANTS:
         raise ConfigError(f"unknown head variant {variant!r}; expected one of {VARIANTS}")
+    return variant
+
+
+def head_model_from(config: dict, specs):
+    variant = _variant(config)
     names = [s.name for s in specs]
     outputs = [s.num_logits for s in specs]
+    # read for every variant, as every report holds the HQNN budget
+    hqnn_qubits = _hqnn_qubits(config)
     if variant == "qmtl":
         return QmtlHeadModel(model_config_from(config))
     feature_dim = _feature_dim(config)
     if variant == "classical":
         return ClassicalHeadModel(feature_dim, outputs, names)
-    return HqnnHeadModel(feature_dim, config.get("hqnn", {}).get("qubits", HQNN_QUBITS),
-                         outputs, names)
+    return HqnnHeadModel(feature_dim, hqnn_qubits, outputs, names)
 
 
 def budget_dict(config: dict, specs) -> dict:
@@ -188,12 +215,9 @@ def budget_dict(config: dict, specs) -> dict:
     names = [s.name for s in specs]
     out = {
         "classical": count_params_classical(feature_dim, outputs),
-        "hqnn": HqnnHeadModel(
-            feature_dim, config.get("hqnn", {}).get("qubits", HQNN_QUBITS),
-            outputs, names,
-        ).num_params,
+        "hqnn": HqnnHeadModel(feature_dim, _hqnn_qubits(config), outputs, names).num_params,
     }
-    if config.get("variant", "qmtl") == "qmtl":
+    if _variant(config) == "qmtl":
         budget = count_params_quantum(model_config_from(config))
         out["quantum"] = {
             "shared": budget.shared,
@@ -262,9 +286,12 @@ def _print_task_table(report: dict) -> None:
 def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0):
     """Per-task logits, optionally under shot sampling or depolarizing noise.
 
-    Shot sampling and trajectory noise are only meaningful for the quantum
-    model; the classical/HQNN baselines always evaluate exactly.  Row i,
-    commuting group g samples shots from its own stream, keyed (seed, i, g).
+    Shot sampling and noise are only meaningful for the quantum model; the
+    classical/HQNN baselines always evaluate exactly.  Row i, commuting group
+    g samples shots from its own stream, keyed (seed, i, g).  Noise runs one
+    ``noisy_expectations`` call per row, on the engine that
+    ``noise.engine(Q, noise.num_trajectories)`` picks: the exact density
+    matrix, or trajectories drawn from ``noise.seed``.
     """
     if (shots is None and noise is None) or not isinstance(head_model, QmtlHeadModel):
         return head_model.forward_batch(params, features)
@@ -303,6 +330,10 @@ def cmd_params(args) -> int:
                   f"\t{row['ratio']:.8f}\t{row['ratio'] * row['T']:.8f}")
         return 0
     specs = task_specs_from(config)
+    # the counts read no data or train keys, but a config `train` would
+    # refuse is refused here too
+    data_spec_from(config, specs)
+    train_config_from(config)
     budget = budget_dict(config, specs)
     if "quantum" in budget:
         q = budget["quantum"]
@@ -361,7 +392,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
+    seed = args.seed if args.seed is not None else _train_section(config).get("seed", 0)
     specs, report, result = _train_and_eval(config, seed)
 
     out_dir = Path(args.out_dir)
@@ -377,7 +408,7 @@ def cmd_train(args) -> int:
     })
     (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    print(f"trained {config.get('variant', 'qmtl')} head for {result.epochs_run} epochs "
+    print(f"trained {_variant(config)} head for {result.epochs_run} epochs "
           f"(monitor {result.best_value:.4f})")
     _print_task_table(report)
     print(f"artifacts in {out_dir}")
@@ -414,10 +445,14 @@ def cmd_eval(args) -> int:
                          shots=args.shots, noise=noise,
                          seed=seed)
     report = report_from_logits(logits, val_data.labels, specs)
+    noise_engine = None
+    if noise is not None and isinstance(head_model, QmtlHeadModel):
+        noise_engine = engine(head_model.model.circuit.num_qubits, noise.num_trajectories)
     summary = run_report(config, report, specs, seed, extra={
         "checkpoint": str(args.checkpoint),
         "shots": args.shots,
-        "noise": {"p1": args.p1, "p2": args.p2, "trajectories": args.trajectories},
+        "noise": {"p1": args.p1, "p2": args.p2, "trajectories": args.trajectories,
+                  "engine": noise_engine},
     })
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
@@ -577,6 +612,11 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
+TRAJECTORIES_HELP = (
+    "noise trajectories: the noise is exact (density matrix) when 2**Q is at most "
+    f"this count and Q <= {MAX_QUBITS // 2}, else sampled from this many trajectories")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmtl",
@@ -624,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depolarizing probability after 1-qubit gates")
     p.add_argument("--p2", type=float, default=0.0,
                    help="depolarizing probability after CNOTs")
-    p.add_argument("--trajectories", type=int, default=1000)
+    p.add_argument("--trajectories", type=int, default=1000, help=TRAJECTORIES_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run an ablation or noise sweep, emit CSV")
@@ -635,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated training seeds")
     p.add_argument("--checkpoint", default=None,
                    help="fixed checkpoint for the noise sweep (skips training)")
-    p.add_argument("--trajectories", type=int, default=500)
+    p.add_argument("--trajectories", type=int, default=500, help=TRAJECTORIES_HELP)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,21 +1,32 @@
-"""Depolarizing gate noise via Pauli-twirl trajectory sampling.
+"""Depolarizing gate noise: the Pauli-twirl channel, exact or sampled.
 
-Each trajectory inserts, after every single-qubit gate with probability p1,
-one of {X, Y, Z} uniformly on that qubit, and after every two-qubit gate with
-probability p2 one of the 15 non-identity two-qubit Paulis uniformly
-(Wallman & Emerson, arXiv:1512.01098).
+The channel follows every single-qubit gate with, at probability p1, one of
+{X, Y, Z} uniformly on that qubit, and every CNOT with, at probability p2,
+one of the 15 non-identity two-qubit Paulis uniformly (Wallman & Emerson,
+arXiv:1512.01098).  Two engines estimate its observable expectations, and
+``engine`` picks one from the register size Q and the trajectory count T
+alone:
 
-The trajectories run together, one per row of a (T, 2**Q) amplitude array,
-through a single pass over the gates: after each gate one uniform draw per row
-decides which rows are hit, and only those rows get their Pauli.  Rows are
-split into chunks of at most 2**MAX_QUBITS amplitudes (one chunk for 1000
-trajectories up to Q = 14).  The chunk size depends only on Q, so the
-estimate is a pure function of the circuit, its bindings, the observables and
-the NoiseSpec.
+* ``"density_matrix"``, when 2**Q <= T and 2Q <= MAX_QUBITS: the exact
+  channel, with the density matrix rho of each row stored as 2Q-qubit
+  amplitudes (row bits 0..Q-1, column bits Q..2Q-1) and run through the same
+  fused ``gate_blocks`` as a state.  A block U on qubit q is U on bit q and
+  conj(U) on bit q + Q; as the twirl commutes with every unitary on its
+  qubit, the noise of a block of k gates is one depolarizing update with
+  f = (1 - 4 p1 / 3)**k.  Its 4**Q amplitudes cost no more than T
+  trajectories of 2**Q, and the result does not depend on T or the seed.
+* ``"trajectories"`` otherwise: T Monte-Carlo trajectories, one per row of a
+  (T, 2**Q) amplitude array, run together through one pass over the gates.
+  After each gate one uniform draw per row decides which rows are hit, and
+  only those rows get their Pauli.  Rows are split into chunks of at most
+  2**MAX_QUBITS amplitudes, a size that depends only on Q, so the estimate
+  is a pure function of the circuit, its bindings, the observables and the
+  NoiseSpec.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +55,14 @@ class NoiseSpec:
 _PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "XYZ"])
 
 
+def engine(num_qubits: int, num_trajectories: int) -> str:
+    """``"density_matrix"`` when rho's 4**Q amplitudes cost no more than T
+    trajectories of 2**Q and fit the amplitude budget, else ``"trajectories"``."""
+    if 1 << num_qubits <= num_trajectories and 2 * num_qubits <= MAX_QUBITS:
+        return "density_matrix"
+    return "trajectories"
+
+
 def noisy_expectations(
     circuit: Circuit,
     theta: Sequence[float],
@@ -51,24 +70,111 @@ def noisy_expectations(
     observables: Sequence[PauliString],
     noise: NoiseSpec,
 ) -> np.ndarray:
-    """Monte-Carlo average of observable expectations over noisy trajectories.
+    """Observable expectations of one feature row under the noise channel,
+    from the engine that ``engine`` picks.
 
     With p1 = p2 = 0 this returns the exact noiseless expectations
-    bit-for-bit (trajectories are degenerate).
+    bit-for-bit.
     """
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         return evaluate_expectations(circuit, theta, features, observables)
-
     # one feature row, bound as a batch of one; a (T, d) matrix is refused, as
     # it would broadcast along the trajectory axis
-    theta, features, _ = bind(circuit, theta, np.asarray(features, dtype=float)[None],
-                              observables)
+    row = np.asarray(features, dtype=float)[None]
+    if engine(circuit.num_qubits, noise.num_trajectories) == "density_matrix":
+        return _density_matrix(circuit, theta, row, observables, noise.p1, noise.p2)[0]
+    return _trajectories(circuit, theta, row, observables, noise)
+
+
+# ---------------------------------------------------------------------------
+# exact engine
+
+
+def _depolarize(rho: np.ndarray, qubits: tuple, f: float, num_qubits: int) -> np.ndarray:
+    """rho -> f rho + (1 - f) I/2**k (x) Tr_qubits rho on each row of 2Q-qubit
+    amplitudes: the uniform twirl on k qubits, with f = 1 - 4**k p / (4**k - 1)."""
+    v = rho.reshape(rho.shape[:-1] + (2,) * (2 * num_qubits))
+    # axis of amplitude bit b is last - b: row bit q, column bit q + Q
+    last = v.ndim - 1
+    diagonals = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        index = [slice(None)] * v.ndim
+        for q, bit in zip(qubits, bits):
+            index[last - q] = index[last - q - num_qubits] = bit
+        diagonals.append(v[tuple(index)])
+    mixed = (1.0 - f) / len(diagonals) * sum(diagonals)
+    v *= f
+    for diagonal in diagonals:
+        diagonal += mixed
+    return v.reshape(rho.shape)
+
+
+def _density_channel(circuit: Circuit, p1: float, p2: float):
+    """``_run``'s ``after_block`` for rho: a block's column half (conj(U) on the
+    column bits) and its depolarizing update."""
+    nq = circuit.num_qubits
+    f2 = 1.0 - 16.0 * p2 / 15.0
+
+    def after_block(rho, block, mat):
+        qubits = circuit.ops[block[0]].qubits
+        if mat is None:
+            rho = sv.apply_cnot_array(rho, qubits[0] + nq, qubits[1] + nq, 2 * nq)
+            f = f2
+        else:
+            rho = sv.apply_matrix(rho, np.conj(mat), qubits[0] + nq, 2 * nq)
+            f = (1.0 - 4.0 * p1 / 3.0) ** len(block)
+        return rho if f == 1.0 else _depolarize(rho, qubits, f, nq)
+
+    return after_block
+
+
+def _density_matrix(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    p1: float,
+    p2: float,
+) -> np.ndarray:
+    """Exact expectations for each row of a (B, d) feature matrix: (B, n_obs).
+
+    Refuses, before allocating, B rows whose B * 4**Q amplitudes exceed the
+    2**MAX_QUBITS budget.
+    """
+    nq = circuit.num_qubits
+    rho = sv.zero_batch(2 * nq, len(features))
+    theta, features, _ = bind(circuit, theta, features, observables)
+    rho = _run(rho, circuit, theta, features, after_block=_density_channel(circuit, p1, p2))
+    # Tr(P rho): the diagonal r = c, amplitude r + (c << Q), of P on the row bits
+    diagonal = np.arange(1 << nq) * ((1 << nq) + 1)
+    out = np.empty((len(features), len(observables)))
+    for i, obs in enumerate(observables):
+        acted = sv.apply_pauli_string(rho, obs.as_dict(), 2 * nq)
+        out[:, i] = np.real(acted[:, diagonal].sum(axis=-1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# trajectory engine
+
+
+def _trajectories(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    noise: NoiseSpec,
+) -> np.ndarray:
+    """Monte-Carlo average of the expectations of a (1, d) feature row over
+    ``noise.num_trajectories`` trajectories, each gate a block of its own."""
+    theta, features, _ = bind(circuit, theta, features, observables)
     features = features[0]
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 
-    def hook(amps, op):
-        """Insert a sampled Pauli after ``op`` into each row of ``amps`` that is hit."""
+    def hook(amps, block, mat):
+        """Insert a sampled Pauli after the gate into each row of ``amps`` that is hit."""
+        op = circuit.ops[block[0]]
         cnot = op.kind == "cnot"
         p = noise.p2 if cnot else noise.p1
         if p == 0.0:
@@ -86,11 +192,12 @@ def noisy_expectations(
         amps[hit] = rows
         return amps
 
+    per_gate = [(op_idx,) for op_idx in range(len(circuit.ops))]
     chunk = max(1, (1 << MAX_QUBITS) >> nq)
     total = np.zeros(len(observables))
     for start in range(0, noise.num_trajectories, chunk):
         amps = sv.zero_batch(nq, min(chunk, noise.num_trajectories - start))
-        amps = _run(amps, circuit, theta, features, noise_hook=hook)
+        amps = _run(amps, circuit, theta, features, blocks=per_gate, after_block=hook)
         for i, obs in enumerate(observables):
             total[i] += sv.expectation_array(amps, obs.as_dict(), nq).sum()
     return total / noise.num_trajectories

@@ -33,6 +33,7 @@ from qmtl.statevector import (
     gate_matrix,
     init_zero,
     pauli,
+    zero_batch,
 )
 from test_statevector import dense_1q, dense_cnot
 
@@ -263,6 +264,43 @@ def test_fused_run_matches_gate_by_gate_unitary(seed, nq, depth):
     rng = np.random.default_rng(seed)
     circuit = random_circuit(nq, depth, rng, num_inputs=2)
     _check_run_against_dense(circuit, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nq=st.integers(1, 5), depth=st.integers(1, 40))
+def test_run_keeps_the_norm(seed, nq, depth):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(nq, depth, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    features = rng.uniform(-np.pi, np.pi, (3, 2))
+    amps = rng.normal(size=(3, 1 << nq)) + 1j * rng.normal(size=(3, 1 << nq))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    out = _run(amps, circuit, theta, features)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _inverse_ops(circuit, theta, row):
+    """The ops of U^dagger for one feature row, each angle bound as a constant."""
+    ops = []
+    for op in reversed(circuit.ops):
+        angles = [-float(_resolve(ref, theta, row)) for ref in op.params]
+        if op.kind == "rot":  # rot(a, b, g)^dagger = rot(-g, -b, -a)
+            angles.reverse()
+        ops.append(GateOp(op.kind, op.qubits, [const(a) for a in angles]))
+    return ops
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nq=st.integers(1, 5), depth=st.integers(1, 40))
+def test_random_circuit_then_its_inverse_returns_to_zero(seed, nq, depth):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(nq, depth, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    row = rng.uniform(-np.pi, np.pi, 2)
+    both = Circuit(nq, circuit.ops + _inverse_ops(circuit, theta, row),
+                   circuit.num_trainable, circuit.num_inputs)
+    out = _run(zero_batch(nq, 1), both, theta, row[None])
+    np.testing.assert_allclose(out, zero_batch(nq, 1), rtol=0, atol=1e-12)
 
 
 def _straddling_circuit():

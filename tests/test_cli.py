@@ -360,3 +360,43 @@ def test_bad_config_shape_fails_cleanly(tmp_path, capsys, command, fault):
     err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
     assert needle in err
     assert not (tmp_path / "run").exists()
+
+
+# optional keys, read with a default when absent, given a value of the wrong type
+_BAD_OPTIONAL_KEYS = {
+    "train": (lambda cfg: cfg.update(train=5), "train"),
+    "hqnn": (lambda cfg: cfg.update(hqnn=5), "hqnn"),
+    "num_classes": (lambda cfg: cfg["heads"][0].update(num_classes="3"), "num_classes"),
+    "lambda": (lambda cfg: cfg["heads"][0].update({"lambda": "1"}), "lambda"),
+    "layers": (lambda cfg: cfg["heads"][0].update(layers="2"), "layers"),
+    "noise_level": (lambda cfg: cfg["data"].update(noise_level="0.1"), "noise_level"),
+    "teacher_seed": (lambda cfg: cfg["data"].update(teacher_seed="x"), "teacher_seed"),
+    "metrics": (lambda cfg: cfg["heads"][0].update(metrics=5), "metrics"),
+    "loss": (lambda cfg: cfg["heads"][0].update(loss=5), "loss"),
+    "focal_gamma": (lambda cfg: cfg["heads"][0].update(focal_gamma="x"), "focal_gamma"),
+    "focal_alpha": (lambda cfg: cfg["heads"][0].update(focal_alpha="x"), "focal_alpha"),
+    "eval_binarize": (lambda cfg: cfg["heads"][0].update(eval_binarize="x"), "eval_binarize"),
+    "entangling": (lambda cfg: cfg["encoder"].update(entangling="x"), "entangling"),
+    "variant": (lambda cfg: cfg.update(variant=["qmtl"]), "variant"),
+}
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("key", sorted(_BAD_OPTIONAL_KEYS))
+def test_bad_optional_key_fails_cleanly(tmp_path, capsys, command, key):
+    edit, needle = _BAD_OPTIONAL_KEYS[key]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, chosen", [
+    ([], None),
+    (["--p1", "0.01", "--trajectories", "4"], "density_matrix"),  # 2**Q = 4 trajectories
+    (["--p1", "0.01", "--trajectories", "3"], "trajectories"),
+])
+def test_eval_report_records_noise_engine(checkpoint, tmp_path, flags, chosen):
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out)] + flags) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["noise"]["engine"] == chosen

@@ -1,12 +1,24 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qmtl.noise as noise_module
-from qmtl.circuit import Circuit, GateOp, evaluate_expectations, random_circuit, trainable
-from qmtl.noise import NoiseSpec, noisy_expectations
-from qmtl.statevector import gate_matrix, pauli
+from qmtl.circuit import (
+    Circuit,
+    GateOp,
+    _run,
+    evaluate_expectations,
+    gate_blocks,
+    random_circuit,
+    trainable,
+)
+from qmtl.errors import CapacityError
+from qmtl.noise import NoiseSpec, engine, noisy_expectations
+from qmtl.statevector import gate_matrix, pauli, zero_batch
 
 
 def _ry_circuit():
@@ -167,6 +179,15 @@ def test_trajectories_match_density_matrix_oracle():
     assert np.all(np.abs(values - oracle) <= _six_se(oracle, n)), (values, oracle)
 
 
+def test_trajectory_engine_matches_density_matrix_oracle():
+    circuit, theta, x, observables = _oracle_case()
+    p1, p2, n = 0.02, 0.1, 2000
+    oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
+    values = noise_module._trajectories(circuit, theta, x[None], observables,
+                                        NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5))
+    assert np.all(np.abs(values - oracle) <= _six_se(oracle, n)), (values, oracle)
+
+
 def test_chunked_trajectories_match_oracle_and_are_deterministic(monkeypatch):
     circuit, theta, x, observables = _oracle_case()
     p1, p2, n = 0.02, 0.1, 2000
@@ -181,12 +202,38 @@ def test_chunked_trajectories_match_oracle_and_are_deterministic(monkeypatch):
 
     monkeypatch.setattr(noise_module, "_run", counting_run)
     spec = NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5)
-    first = noisy_expectations(circuit, theta, x, observables, spec)
+    first = noise_module._trajectories(circuit, theta, x[None], observables, spec)
     assert runs == [512, 512, 512, 464]
-    second = noisy_expectations(circuit, theta, x, observables, spec)
+    second = noise_module._trajectories(circuit, theta, x[None], observables, spec)
     assert np.array_equal(first, second)
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
     assert np.all(np.abs(first - oracle) <= _six_se(oracle, n)), (first, oracle)
+
+
+@pytest.mark.parametrize("num_qubits, trajectories, chosen", [
+    (4, 1000, "density_matrix"),      # toy: 16 <= 1000
+    (4, 16, "density_matrix"),        # 4**Q amplitudes = T * 2**Q
+    (4, 15, "trajectories"),
+    (10, 1000, "trajectories"),       # glue-like at the default: 1024 > 1000
+    (10, 1024, "density_matrix"),
+    (12, 1 << 20, "density_matrix"),  # 4**12 = 2**24, the whole budget
+    (13, 1000, "trajectories"),       # chexpert-like
+    (13, 1 << 20, "trajectories"),    # 4**13 is over the budget
+])
+def test_engine_rule_picks_by_size(num_qubits, trajectories, chosen):
+    assert engine(num_qubits, trajectories) == chosen
+
+
+def test_noisy_expectations_runs_the_engine_the_rule_picks():
+    circuit, theta, x, observables = _oracle_case()
+    exact = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=2000, seed=5)
+    sampled = replace(exact, num_trajectories=8)
+    assert np.array_equal(
+        noisy_expectations(circuit, theta, x, observables, exact),
+        noise_module._density_matrix(circuit, theta, x[None], observables, 0.02, 0.1)[0])
+    assert np.array_equal(
+        noisy_expectations(circuit, theta, x, observables, sampled),
+        noise_module._trajectories(circuit, theta, x[None], observables, sampled))
 
 
 def test_noisy_expectations_checks_bindings():
@@ -198,3 +245,64 @@ def test_noisy_expectations_checks_bindings():
     rows = np.tile(x, (noise.num_trajectories, 1))
     with pytest.raises(ValueError, match="input features"):
         noisy_expectations(circuit, theta, rows, observables, noise)
+
+
+# ---------------------------------------------------------------------------
+# exact engine
+
+
+# f = 1 - 4 p1 / 3 and f2 = 1 - 16 p2 / 15 are 0 at p1 = 3/4, p2 = 15/16 and
+# negative at p = 1
+@pytest.mark.parametrize("p1, p2", [(0.02, 0.1), (0.75, 15 / 16), (1.0, 1.0), (0.75, 1.0),
+                                    (1.0, 0.0)])
+def test_density_matrix_engine_matches_oracle(p1, p2):
+    circuit, theta, x, observables = _oracle_case()
+    assert max(len(block) for block in gate_blocks(circuit)) > 1
+    assert engine(circuit.num_qubits, 2000) == "density_matrix"
+    oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
+    values = noisy_expectations(circuit, theta, x, observables,
+                                NoiseSpec(p1=p1, p2=p2, num_trajectories=2000, seed=5))
+    np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_qubits, rows", [(4, (1 << 16) + 1), (12, 2), (13, 1)])
+def test_density_matrix_batch_refused_before_allocation(num_qubits, rows):
+    circuit = Circuit(num_qubits, [GateOp("h", (0,))], 0, 0)
+    features = np.empty((rows, 0))  # no inputs: the matrix holds no bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            noise_module._density_matrix(circuit, [], features, [pauli("Z0")], 0.1, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_density_matrix_engine_is_deterministic_and_exact_at_zero_noise():
+    circuit, theta, x, observables = _oracle_case()
+    spec = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=1000)
+    first = noisy_expectations(circuit, theta, x, observables, spec)
+    again = noisy_expectations(circuit, theta, x, observables,
+                               replace(spec, num_trajectories=4000, seed=9))
+    assert np.array_equal(first, again)
+    zero = replace(spec, p1=0.0, p2=0.0)
+    assert np.array_equal(noisy_expectations(circuit, theta, x, observables, zero),
+                          evaluate_expectations(circuit, theta, x, observables))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nq=st.integers(1, 4), depth=st.integers(1, 30),
+       p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+def test_noisy_density_matrix_keeps_trace_one_and_stays_hermitian(seed, nq, depth, p1, p2):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(nq, depth, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    rows = rng.uniform(-np.pi, np.pi, (2, 2))
+    rho = _run(zero_batch(2 * nq, 2), circuit, theta, rows,
+               after_block=noise_module._density_channel(circuit, p1, p2))
+    dim = 1 << nq
+    # amplitude r + (c << Q) is rho[r, c], so the reshape gives rho transposed
+    for mat in rho.reshape(2, dim, dim):
+        assert abs(np.trace(mat) - 1.0) <= 1e-12
+        np.testing.assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-12)
