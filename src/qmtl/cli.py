@@ -35,9 +35,9 @@ from .model import (
     logits_from_raw,
     scaling_table,
 )
-from .noise import NoiseSpec, engine, noisy_expectations
+from .noise import EXACT_QUBITS, NoiseSpec, engine, noisy_expectations
 from .presets import PRESETS, get_preset
-from .statevector import MAX_QUBITS, PauliString
+from .statevector import PauliString
 from .trainer import TrainConfig, evaluate, report_from_logits, train
 
 VARIANTS = ("qmtl", "classical", "hqnn")
@@ -155,6 +155,12 @@ def task_specs_from(config: dict) -> list:
     return specs
 
 
+def _data_options(config: dict) -> dict:
+    d = _require(config, "data")
+    return {"teacher_seed": _optional(d, "teacher_seed", 0, "data", int),
+            "noise_level": _optional(d, "noise_level", 0.0, "data", NUMBER)}
+
+
 def data_spec_from(config: dict, specs) -> SyntheticSpec:
     d = _require(config, "data")
     return SyntheticSpec(
@@ -162,8 +168,7 @@ def data_spec_from(config: dict, specs) -> SyntheticSpec:
         tasks=specs,
         n_train=_require(d, "n_train", "data", int),
         n_val=_require(d, "n_val", "data", int),
-        teacher_seed=_optional(d, "teacher_seed", 0, "data", int),
-        noise_level=_optional(d, "noise_level", 0.0, "data", NUMBER),
+        **_data_options(config),
     )
 
 
@@ -290,8 +295,9 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
     classical/HQNN baselines always evaluate exactly.  Row i, commuting group
     g samples shots from its own stream, keyed (seed, i, g).  Noise runs one
     ``noisy_expectations`` call per row, on the engine that
-    ``noise.engine(Q, noise.num_trajectories)`` picks: the exact density
-    matrix, or trajectories drawn from ``noise.seed``.
+    ``noise.engine(Q)`` picks: the exact density matrix for Q <=
+    ``noise.EXACT_QUBITS``, else ``noise.num_trajectories`` trajectories drawn
+    from ``noise.seed``.
     """
     if (shots is None and noise is None) or not isinstance(head_model, QmtlHeadModel):
         return head_model.forward_batch(params, features)
@@ -330,9 +336,9 @@ def cmd_params(args) -> int:
                   f"\t{row['ratio']:.8f}\t{row['ratio'] * row['T']:.8f}")
         return 0
     specs = task_specs_from(config)
-    # the counts read no data or train keys, but a config `train` would
-    # refuse is refused here too
-    data_spec_from(config, specs)
+    # the counts need no data sizes or train section, but a bad value in
+    # either is refused here as `train` refuses it
+    _data_options(config)
     train_config_from(config)
     budget = budget_dict(config, specs)
     if "quantum" in budget:
@@ -447,7 +453,7 @@ def cmd_eval(args) -> int:
     report = report_from_logits(logits, val_data.labels, specs)
     noise_engine = None
     if noise is not None and isinstance(head_model, QmtlHeadModel):
-        noise_engine = engine(head_model.model.circuit.num_qubits, noise.num_trajectories)
+        noise_engine = engine(head_model.model.circuit.num_qubits)
     summary = run_report(config, report, specs, seed, extra={
         "checkpoint": str(args.checkpoint),
         "shots": args.shots,
@@ -613,8 +619,8 @@ def cmd_sweep(args) -> int:
 
 
 TRAJECTORIES_HELP = (
-    "noise trajectories: the noise is exact (density matrix) when 2**Q is at most "
-    f"this count and Q <= {MAX_QUBITS // 2}, else sampled from this many trajectories")
+    f"noise trajectories, used only for Q > {EXACT_QUBITS} qubits: smaller registers "
+    "get the exact density matrix")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,17 +4,16 @@ The channel follows every single-qubit gate with, at probability p1, one of
 {X, Y, Z} uniformly on that qubit, and every CNOT with, at probability p2,
 one of the 15 non-identity two-qubit Paulis uniformly (Wallman & Emerson,
 arXiv:1512.01098).  Two engines estimate its observable expectations, and
-``engine`` picks one from the register size Q and the trajectory count T
-alone:
+``engine`` picks one from the register size Q alone:
 
-* ``"density_matrix"``, when 2**Q <= T and 2Q <= MAX_QUBITS: the exact
-  channel, with the density matrix rho of each row stored as 2Q-qubit
-  amplitudes (row bits 0..Q-1, column bits Q..2Q-1) and run through the same
-  fused ``gate_blocks`` as a state.  A block U on qubit q is U on bit q and
+* ``"density_matrix"``, when Q <= EXACT_QUBITS: the exact channel, with the
+  density matrix rho of each row stored as 2Q-qubit amplitudes (row bits
+  0..Q-1, column bits Q..2Q-1) and run through the same fused
+  ``gate_blocks`` as a state.  A block U on qubit q is U on bit q and
   conj(U) on bit q + Q; as the twirl commutes with every unitary on its
   qubit, the noise of a block of k gates is one depolarizing update with
-  f = (1 - 4 p1 / 3)**k.  Its 4**Q amplitudes cost no more than T
-  trajectories of 2**Q, and the result does not depend on T or the seed.
+  f = (1 - 4 p1 / 3)**k.  The result does not depend on the trajectory
+  count or the seed.
 * ``"trajectories"`` otherwise: T Monte-Carlo trajectories, one per row of a
   (T, 2**Q) amplitude array, run together through one pass over the gates.
   After each gate one uniform draw per row decides which rows are hit, and
@@ -55,12 +54,17 @@ class NoiseSpec:
 _PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "XYZ"])
 
 
-def engine(num_qubits: int, num_trajectories: int) -> str:
-    """``"density_matrix"`` when rho's 4**Q amplitudes cost no more than T
-    trajectories of 2**Q and fit the amplitude budget, else ``"trajectories"``."""
-    if 1 << num_qubits <= num_trajectories and 2 * num_qubits <= MAX_QUBITS:
-        return "density_matrix"
-    return "trajectories"
+# rho's 4**Q amplitudes against T trajectories of 2**Q, timed per row of a
+# glue-like register (3 entangling layers, one BLAS thread): the exact engine
+# is at least 2x faster than 500 trajectories up to Q = 7, about as fast at
+# Q = 8 and slower from Q = 9 on, as its cost grows 4x per qubit and theirs 2x
+EXACT_QUBITS = 7
+
+
+def engine(num_qubits: int) -> str:
+    """``"density_matrix"`` for registers of at most EXACT_QUBITS qubits,
+    else ``"trajectories"``."""
+    return "density_matrix" if num_qubits <= EXACT_QUBITS else "trajectories"
 
 
 def noisy_expectations(
@@ -81,7 +85,7 @@ def noisy_expectations(
     # one feature row, bound as a batch of one; a (T, d) matrix is refused, as
     # it would broadcast along the trajectory axis
     row = np.asarray(features, dtype=float)[None]
-    if engine(circuit.num_qubits, noise.num_trajectories) == "density_matrix":
+    if engine(circuit.num_qubits) == "density_matrix":
         return _density_matrix(circuit, theta, row, observables, noise.p1, noise.p2)[0]
     return _trajectories(circuit, theta, row, observables, noise)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qmtl.model
+import qmtl.noise
 from qmtl.cli import eval_logits, head_model_from, main, task_specs_from
 from qmtl.presets import get_preset
 
@@ -265,6 +266,15 @@ def _broken_config_argv(tmp_path, command, edit):
     return argv
 
 
+def test_params_needs_no_data_sizes_or_train_section(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    del cfg["train"], cfg["data"]["n_train"], cfg["data"]["n_val"]
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["params", "--config", str(path)]) == 0
+    assert "P_Q " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["params", "train"])
 def test_head_without_name_fails_cleanly(tmp_path, capsys, command):
     def edit(cfg):
@@ -390,12 +400,14 @@ def test_bad_optional_key_fails_cleanly(tmp_path, capsys, command, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flags, chosen", [
-    ([], None),
-    (["--p1", "0.01", "--trajectories", "4"], "density_matrix"),  # 2**Q = 4 trajectories
-    (["--p1", "0.01", "--trajectories", "3"], "trajectories"),
+@pytest.mark.parametrize("flags, exact_qubits, chosen", [
+    ([], 7, None),
+    (["--p1", "0.01", "--trajectories", "4"], 7, "density_matrix"),
+    (["--p1", "0.01", "--trajectories", "4"], 1, "trajectories"),  # Q = 2 > 1
 ])
-def test_eval_report_records_noise_engine(checkpoint, tmp_path, flags, chosen):
+def test_eval_report_records_noise_engine(checkpoint, tmp_path, monkeypatch, flags,
+                                          exact_qubits, chosen):
+    monkeypatch.setattr(qmtl.noise, "EXACT_QUBITS", exact_qubits)
     out = tmp_path / "eval"
     assert main(["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out)] + flags) == 0
     report = json.loads((out / "report.json").read_text())

@@ -210,30 +210,29 @@ def test_chunked_trajectories_match_oracle_and_are_deterministic(monkeypatch):
     assert np.all(np.abs(first - oracle) <= _six_se(oracle, n)), (first, oracle)
 
 
-@pytest.mark.parametrize("num_qubits, trajectories, chosen", [
-    (4, 1000, "density_matrix"),      # toy: 16 <= 1000
-    (4, 16, "density_matrix"),        # 4**Q amplitudes = T * 2**Q
-    (4, 15, "trajectories"),
-    (10, 1000, "trajectories"),       # glue-like at the default: 1024 > 1000
-    (10, 1024, "density_matrix"),
-    (12, 1 << 20, "density_matrix"),  # 4**12 = 2**24, the whole budget
-    (13, 1000, "trajectories"),       # chexpert-like
-    (13, 1 << 20, "trajectories"),    # 4**13 is over the budget
+@pytest.mark.parametrize("num_qubits, chosen", [
+    (1, "density_matrix"),
+    (4, "density_matrix"),   # toy
+    (7, "density_matrix"),   # EXACT_QUBITS
+    (8, "trajectories"),
+    (10, "trajectories"),    # glue-like, chexpert-like
+    (13, "trajectories"),    # mustard-like
 ])
-def test_engine_rule_picks_by_size(num_qubits, trajectories, chosen):
-    assert engine(num_qubits, trajectories) == chosen
+def test_engine_rule_picks_by_size(num_qubits, chosen):
+    assert noise_module.EXACT_QUBITS == 7
+    assert engine(num_qubits) == chosen
 
 
-def test_noisy_expectations_runs_the_engine_the_rule_picks():
+def test_noisy_expectations_runs_the_engine_the_rule_picks(monkeypatch):
     circuit, theta, x, observables = _oracle_case()
-    exact = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=2000, seed=5)
-    sampled = replace(exact, num_trajectories=8)
+    spec = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=8, seed=5)
     assert np.array_equal(
-        noisy_expectations(circuit, theta, x, observables, exact),
+        noisy_expectations(circuit, theta, x, observables, spec),
         noise_module._density_matrix(circuit, theta, x[None], observables, 0.02, 0.1)[0])
+    monkeypatch.setattr(noise_module, "EXACT_QUBITS", circuit.num_qubits - 1)
     assert np.array_equal(
-        noisy_expectations(circuit, theta, x, observables, sampled),
-        noise_module._trajectories(circuit, theta, x[None], observables, sampled))
+        noisy_expectations(circuit, theta, x, observables, spec),
+        noise_module._trajectories(circuit, theta, x[None], observables, spec))
 
 
 def test_noisy_expectations_checks_bindings():
@@ -258,7 +257,7 @@ def test_noisy_expectations_checks_bindings():
 def test_density_matrix_engine_matches_oracle(p1, p2):
     circuit, theta, x, observables = _oracle_case()
     assert max(len(block) for block in gate_blocks(circuit)) > 1
-    assert engine(circuit.num_qubits, 2000) == "density_matrix"
+    assert engine(circuit.num_qubits) == "density_matrix"
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
     values = noisy_expectations(circuit, theta, x, observables,
                                 NoiseSpec(p1=p1, p2=p2, num_trajectories=2000, seed=5))
