@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, and of
-one noisy block on a density matrix at Q = 4 and 10.
+"""Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, of
+one noisy block on a density matrix at Q = 4 and 10, and of shot sampling
+at Q = 4 and 10.
 
 Run from the repository root with
 
@@ -13,7 +14,8 @@ They sit outside the test suite's ``testpaths``, so a plain ``pytest`` never
 collects or times them.  Batch sizes keep B * 2**Q at or below 2**15
 amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
 A density matrix is one row of 4**Q amplitudes, as ``noise.noisy_expectations``
-runs it.
+runs it.  Shot sampling draws 4096 shots of one state's 1-D amplitudes, as
+``model.forward`` does per row and commuting group.
 """
 
 import numpy as np
@@ -21,7 +23,13 @@ import pytest
 
 from qmtl.circuit import Circuit, GateOp, _run, const
 from qmtl.noise import _density_channel
-from qmtl.statevector import apply_cnot_array, apply_matrix, zero_batch
+from qmtl.statevector import (
+    apply_cnot_array,
+    apply_matrix,
+    pauli,
+    sample_expectation,
+    zero_batch,
+)
 
 # (Q, B): qubits and rows
 SIZES = [(4, 64), (10, 32), (13, 4)]
@@ -77,3 +85,18 @@ def test_density_matrix_block(benchmark, nq, op):
                     after_block=_density_channel(circuit, 0.01, 0.01))
     assert out.shape == rho.shape
     assert np.real(out[0, ::(1 << nq) + 1].sum()) == pytest.approx(1.0)
+
+
+SHOTS = 4096
+
+
+@pytest.mark.parametrize("nq", (4, 10), ids=["Q4", "Q10"])
+def test_sample_expectation(benchmark, nq):
+    """The all-Z group of ``toy`` (Q = 4) and ``glue-like`` (Q = 10), the
+    first commuting group each row samples."""
+    amps = _amps(nq, 1, np.random.default_rng(0))[0]
+    amps /= np.linalg.norm(amps)
+    group = [pauli(f"Z{q}") for q in range(nq)]
+    out = benchmark(sample_expectation, amps, group, SHOTS, 0)
+    assert len(out) == nq
+    assert all(-1.0 <= est <= 1.0 for est in out)

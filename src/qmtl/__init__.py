@@ -1,7 +1,9 @@
 """Parameter-efficient multi-task learning heads built from shallow
-variational quantum circuits, with a statevector simulator, adjoint-state
-training gradients checked against parameter-shift and finite-difference
-oracles, noise-trajectory evaluation, and a training/experiment CLI.
+variational quantum circuits, with a statevector simulator on plain
+amplitude arrays, adjoint-state training gradients checked against
+parameter-shift and finite-difference oracles, depolarizing-noise
+evaluation on two engines (the exact density matrix for small registers,
+Monte-Carlo trajectories above), and a training/experiment CLI.
 """
 
 from .errors import (
@@ -14,11 +16,6 @@ from .errors import (
 )
 from .statevector import (
     PauliString,
-    Statevector,
-    apply_1q,
-    apply_cnot,
-    expectation,
-    init_zero,
     pauli,
     sample_expectation,
 )
@@ -30,10 +27,8 @@ from .circuit import (
     evaluate,
     evaluate_expectations,
     evaluate_expectations_batch,
-    export_text,
     feature,
     group_commuting,
-    parse_text,
     random_circuit,
     trainable,
 )

@@ -6,14 +6,13 @@ index may be referenced by several gates (shared parameters).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import statevector as sv
-from .statevector import PauliString, Statevector
+from .statevector import PauliString
 
 GATE_ARITY = {
     # kind: (num_qubits, num_params)
@@ -207,14 +206,15 @@ def bind(circuit: Circuit, theta: Sequence[float], features: np.ndarray,
     return theta, features, sv.zero_batch(circuit.num_qubits, features.shape[0])
 
 
-def evaluate(circuit: Circuit, theta: Sequence[float], features: Sequence[float]) -> Statevector:
-    """Run the circuit from |0...0> with concrete parameter bindings.
+def evaluate(circuit: Circuit, theta: Sequence[float], features: Sequence[float]) -> np.ndarray:
+    """The 1-D amplitudes, of length 2**Q, of the circuit run from |0...0>
+    with concrete parameter bindings.
 
     Bound as a batch of one, run as 1-D amplitudes, so every gate block is
     one shared 2x2 matrix.
     """
     theta, features, amps = bind(circuit, theta, np.asarray(features, dtype=float)[None])
-    return Statevector(circuit.num_qubits, _run(amps[0], circuit, theta, features[0]))
+    return _run(amps[0], circuit, theta, features[0])
 
 
 def evaluate_expectations(
@@ -257,66 +257,6 @@ def group_commuting(observables: Sequence[PauliString]) -> list:
         else:
             groups.append([obs])
     return groups
-
-
-# ---------------------------------------------------------------------------
-# portable text format
-
-
-def _ref_text(ref: ParamRef) -> str:
-    if ref.kind == "theta":
-        return f"th[{ref.index}]"
-    if ref.kind == "input":
-        return f"in[{ref.index}]"
-    return repr(ref.value)
-
-
-def export_text(circuit: Circuit) -> str:
-    """One gate per line; a header carries register and parameter counts."""
-    lines = [
-        f"circuit q={circuit.num_qubits} th={circuit.num_trainable} in={circuit.num_inputs}"
-    ]
-    for op in circuit.ops:
-        qubits = ",".join(f"q[{q}]" for q in op.qubits)
-        if op.params:
-            args = ",".join(_ref_text(ref) for ref in op.params)
-            lines.append(f"{op.kind}({args}) {qubits}")
-        else:
-            lines.append(f"{op.kind} {qubits}")
-    return "\n".join(lines) + "\n"
-
-
-_HEADER_RE = re.compile(r"^circuit q=(\d+) th=(\d+) in=(\d+)$")
-_GATE_RE = re.compile(r"^([a-z]+)(?:\((.*)\))? (q\[\d+\](?:,q\[\d+\])*)$")
-_REF_RE = re.compile(r"^(th|in)\[(\d+)\]$")
-
-
-def _parse_ref(text: str) -> ParamRef:
-    m = _REF_RE.match(text)
-    if m:
-        kind = "theta" if m.group(1) == "th" else "input"
-        return ParamRef(kind, int(m.group(2)))
-    return const(float(text))
-
-
-def parse_text(text: str) -> Circuit:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty circuit text")
-    header = _HEADER_RE.match(lines[0].strip())
-    if not header:
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    num_qubits, num_trainable, num_inputs = (int(g) for g in header.groups())
-    ops = []
-    for line in lines[1:]:
-        m = _GATE_RE.match(line.strip())
-        if not m:
-            raise ValueError(f"bad gate line: {line!r}")
-        kind, args, qubits_text = m.groups()
-        qubits = [int(q) for q in re.findall(r"q\[(\d+)\]", qubits_text)]
-        params = [_parse_ref(a) for a in args.split(",")] if args else []
-        ops.append(GateOp(kind, qubits, params))
-    return Circuit(num_qubits, ops, num_trainable, num_inputs)
 
 
 def random_circuit(num_qubits: int, depth: int, rng,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -259,7 +260,17 @@ def read_checkpoint(path: Path) -> dict:
     missing = [key for key in ("seed", "num_params", "params", "config") if key not in payload]
     if missing:
         raise ConfigError(f"checkpoint {path} is missing {', '.join(missing)}")
-    if len(payload["params"]) != payload["num_params"]:
+    params = payload["params"]
+    if not isinstance(params, list) or not all(
+            isinstance(v, NUMBER) and not isinstance(v, bool) and math.isfinite(v)
+            for v in params):
+        raise ConfigError(f"checkpoint {path}: 'params' must be a list of finite numbers")
+    for key in ("num_params", "seed"):
+        if not isinstance(payload[key], int) or isinstance(payload[key], bool):
+            raise ConfigError(f"checkpoint {path}: {key!r} must be an integer, "
+                              f"got {payload[key]!r}")
+    _nonnegative_seeds([payload["seed"]], f"checkpoint {path}: 'seed'")
+    if len(params) != payload["num_params"]:
         raise ConfigError("checkpoint is corrupt: parameter count mismatch")
     return payload
 
@@ -376,7 +387,7 @@ def cmd_gradcheck(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     shift = SHIFT * (1.01 if args.corrupt_shift else 1.0)
-    seeds = _parse_int_list(args.seeds)
+    seeds = _nonnegative_seeds(_parse_int_list(args.seeds), "--seeds")
     print("seed\tmax_dev\tadjoint_dev\tstatus")
     ok = True
     for seed in seeds:
@@ -433,6 +444,8 @@ def _noise_spec(p1: float, p2: float, trajectories: int, seed: int):
 def cmd_eval(args) -> int:
     if args.shots is not None and args.shots < 1:
         raise ConfigError(f"--shots must be >= 1, got {args.shots}")
+    if args.seed is not None:
+        _nonnegative_seeds([args.seed], "--seed")
     checkpoint = read_checkpoint(Path(args.checkpoint))
     config = checkpoint["config"] if args.config is None and args.preset is None \
         else load_config(args)
@@ -478,6 +491,15 @@ def _parse_int_list(text: str) -> list:
         return [int(v) for v in str(text).split(",") if v != ""]
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}")
+
+
+def _nonnegative_seeds(seeds: list, what: str) -> list:
+    """``seeds``, or a ConfigError naming ``what`` if one is negative: numpy's
+    generators take only seeds >= 0."""
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"{what} must be >= 0, got {seed}")
+    return seeds
 
 
 def _parse_float_list(text: str) -> list:
@@ -535,9 +557,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep kind {args.kind!r}; expected one of {SWEEP_KINDS}")
     base = load_config(args)
     base_specs = task_specs_from(base)
-    seeds = _parse_int_list(args.seeds)
+    seeds = _nonnegative_seeds(_parse_int_list(args.seeds), "--seeds")
     if args.seed is not None:
-        seeds = [args.seed]
+        seeds = _nonnegative_seeds([args.seed], "--seed")
 
     rows = []
     if args.kind == "noise":

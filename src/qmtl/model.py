@@ -376,11 +376,11 @@ def forward(
     if shots is None:
         logits = forward_batch(model, params, np.asarray(features, dtype=float)[None])
         return {name: rows[0] for name, rows in logits.items()}
-    state = evaluate(model.circuit, params[: model.num_circuit_params], features)
+    amps = evaluate(model.circuit, params[: model.num_circuit_params], features)
     observables = list(model.observables)
     values = {}
     for gi, group in enumerate(group_commuting(observables)):
-        ests = sample_expectation(state, group, shots, [*np.atleast_1d(seed), gi])
+        ests = sample_expectation(amps, group, shots, [*np.atleast_1d(seed), gi])
         for obs, est in zip(group, ests):
             values[id(obs)] = est
     raw = np.array([values[id(obs)] for obs in observables])
@@ -630,9 +630,6 @@ class HqnnHeadModel:
     @property
     def num_params(self) -> int:
         return self._num_params
-
-    def classical_param_count(self) -> int:
-        return self._num_params - self.n_circuit
 
     def decay_mask(self) -> np.ndarray:
         mask = np.ones(self._num_params, dtype=bool)

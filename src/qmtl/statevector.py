@@ -1,9 +1,10 @@
 """Exact statevector simulation of few-qubit circuits.
 
-Convention: basis indices are little-endian, i.e. qubit 0 is the least
-significant bit of the amplitude index.  Rotation gates follow the
-exp(-i*theta*P/2) convention; rot(a, b, g) = rz(g) @ ry(b) @ rz(a).
-All arithmetic is complex128.
+A state is a plain complex array of shape (..., 2**num_qubits), one row per
+state; there is no wrapper type.  Basis indices are little-endian, i.e.
+qubit 0 is the least significant bit of the amplitude index.  Rotation
+gates follow the exp(-i*theta*P/2) convention; rot(a, b, g) =
+rz(g) @ ry(b) @ rz(a).  All arithmetic is complex128.
 """
 
 from __future__ import annotations
@@ -190,27 +191,6 @@ def pauli(spec: str) -> PauliString:
     return PauliString(terms)
 
 
-@dataclass
-class Statevector:
-    """Complex amplitude vector over the 2**num_qubits computational basis."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.num_qubits, self.amplitudes.copy())
-
-
 def check_capacity(num_qubits: int, rows: int) -> None:
     """Refuse registers above MAX_QUBITS and batches above 2**MAX_QUBITS amplitudes."""
     if not 1 <= num_qubits <= MAX_QUBITS:
@@ -229,46 +209,6 @@ def zero_batch(num_qubits: int, rows: int) -> np.ndarray:
     return amps
 
 
-def init_zero(num_qubits: int) -> Statevector:
-    """|0...0> on ``num_qubits`` qubits; guards against oversized registers."""
-    return Statevector(num_qubits, zero_batch(num_qubits, 1)[0])
-
-
-def _check_qubit(state: Statevector, qubit: int) -> None:
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-
-
-def apply_1q(state: Statevector, kind: str, qubit: int, angles: Sequence = ()) -> Statevector:
-    _check_qubit(state, qubit)
-    mat = gate_matrix(kind, angles)
-    state.amplitudes = apply_matrix(state.amplitudes, mat, qubit, state.num_qubits)
-    return state
-
-
-def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    state.amplitudes = apply_cnot_array(state.amplitudes, control, target, state.num_qubits)
-    return state
-
-
-def _check_observable(state: Statevector, obs: PauliString) -> None:
-    if obs.max_qubit() >= state.num_qubits:
-        raise IndexError(
-            f"observable {obs} acts on qubit {obs.max_qubit()}, "
-            f"state has {state.num_qubits} qubits"
-        )
-
-
-def expectation(state: Statevector, obs: PauliString) -> float:
-    """Exact <psi|P|psi>; always real for Hermitian P."""
-    _check_observable(state, obs)
-    return float(expectation_array(state.amplitudes, obs.as_dict(), state.num_qubits))
-
-
 def check_group(group: Sequence[PauliString]) -> None:
     for i, a in enumerate(group):
         for b in group[i + 1:]:
@@ -277,34 +217,39 @@ def check_group(group: Sequence[PauliString]) -> None:
 
 
 def sample_expectation(
-    state: Statevector,
+    amps: np.ndarray,
     group: Sequence[PauliString],
     shots: int,
     seed,
 ) -> list:
     """Shot-based estimates for a qubit-wise-commuting group in one basis setting.
 
-    ``seed`` is an int or a sequence of ints, passed to ``default_rng``.
+    ``amps`` is one state's 1-D amplitudes, of length 2**Q.  ``seed`` is an
+    int or a sequence of ints, passed to ``default_rng``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     check_group(group)
+    num_qubits = amps.shape[-1].bit_length() - 1
     for obs in group:
-        _check_observable(state, obs)
+        if obs.max_qubit() >= num_qubits:
+            raise IndexError(
+                f"observable {obs} acts on qubit {obs.max_qubit()}, "
+                f"state has {num_qubits} qubits"
+            )
 
     # shared basis: the axis every string uses on each measured qubit
     basis = {}
     for obs in group:
         basis.update(obs.as_dict())
 
-    amps = state.amplitudes
     for qubit, axis in basis.items():
         if axis == "X":
-            amps = apply_matrix(amps, _H, qubit, state.num_qubits)
+            amps = apply_matrix(amps, _H, qubit, num_qubits)
         elif axis == "Y":
             sdg = np.array([[1, 0], [0, -1j]], dtype=complex)
-            amps = apply_matrix(amps, sdg, qubit, state.num_qubits)
-            amps = apply_matrix(amps, _H, qubit, state.num_qubits)
+            amps = apply_matrix(amps, sdg, qubit, num_qubits)
+            amps = apply_matrix(amps, _H, qubit, num_qubits)
 
     probs = np.abs(amps) ** 2
     probs = probs / probs.sum()

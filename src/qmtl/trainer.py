@@ -100,9 +100,28 @@ def _eval_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _chance_level(spec: TaskSpec, eval_labels: np.ndarray, num_classes: int) -> float:
+    """The primary metric of a constant predictor on ``eval_labels``: the
+    majority labeled class (the lowest on a tie), or the label mean for
+    regression.  Correlation metrics of a constant are 0."""
+    labeled = eval_labels[eval_labels != MISSING]
+    if spec.kind == "regression":
+        constant = np.mean(labeled)
+    else:
+        constant = np.argmax(np.bincount(labeled.astype(int)))
+    preds = np.full(eval_labels.shape, constant)
+    return compute_metric(spec.metrics[0], preds, eval_labels, num_classes).value
+
+
 def report_from_logits(logits: dict, labels_by_task: dict,
                        task_specs: Sequence[TaskSpec]) -> dict:
-    """Per-task metric and loss table from precomputed logits."""
+    """Per-task metric and loss table from precomputed logits.
+
+    Each entry also holds ``chance``, the primary (first-listed) metric of a
+    constant predictor on the same labels, and ``margin``, the primary
+    metric minus ``chance``, so a task that learned nothing reads a margin
+    near 0.
+    """
     report = {}
     for spec in task_specs:
         labels = np.asarray(labels_by_task[spec.name])
@@ -116,6 +135,8 @@ def report_from_logits(logits: dict, labels_by_task: dict,
             entry[tag] = result.value
             if result.degenerate:
                 entry[f"{tag}_degenerate"] = True
+        entry["chance"] = _chance_level(spec, eval_labels, num_classes)
+        entry["margin"] = entry[spec.metrics[0]] - entry["chance"]
         report[spec.name] = entry
     return report
 

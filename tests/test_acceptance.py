@@ -33,6 +33,7 @@ from qmtl.model import (
 from qmtl.noise import NoiseSpec, noisy_expectations
 from qmtl.presets import get_preset
 from qmtl.statevector import PauliString, gate_matrix, pauli
+from test_statevector import dense_1q, dense_cnot
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -98,29 +99,12 @@ def test_criterion_02_preset_param_counts():
 # 3. simulator equivalence against a dense Kronecker-product oracle
 
 
-def _dense_unitary_1q(mat: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    out = np.eye(1)
-    for q in range(nq):  # little-endian: qubit 0 is the least-significant bit
-        factor = mat if q == qubit else np.eye(2)
-        out = np.kron(factor, out)
-    return out
-
-
-def _dense_cnot(control: int, target: int, nq: int) -> np.ndarray:
-    dim = 2 ** nq
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        j = i ^ (1 << target) if (i >> control) & 1 else i
-        out[j, i] = 1.0
-    return out
-
-
 def _dense_reference(circuit: Circuit, theta, features) -> np.ndarray:
     state = np.zeros(2 ** circuit.num_qubits, dtype=complex)
     state[0] = 1.0
     for op in circuit.ops:
         if op.kind == "cnot":
-            state = _dense_cnot(op.qubits[0], op.qubits[1], circuit.num_qubits) @ state
+            state = dense_cnot(op.qubits[0], op.qubits[1], circuit.num_qubits) @ state
             continue
         angles = []
         for ref in op.params:
@@ -131,7 +115,7 @@ def _dense_reference(circuit: Circuit, theta, features) -> np.ndarray:
             else:
                 angles.append(ref.value)
         mat = gate_matrix(op.kind, angles)
-        state = _dense_unitary_1q(mat, op.qubits[0], circuit.num_qubits) @ state
+        state = dense_1q(mat, op.qubits[0], circuit.num_qubits) @ state
     return state
 
 
@@ -144,11 +128,11 @@ def test_criterion_03_simulator_oracle_equivalence():
                                  num_inputs=3)
         theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
         features = rng.uniform(-np.pi, np.pi, 3)
-        state = evaluate(circuit, theta, features)
+        amps = evaluate(circuit, theta, features)
         reference = _dense_reference(circuit, theta, features)
-        worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - reference))))
+        worst_amp = max(worst_amp, float(np.max(np.abs(amps - reference))))
         obs = [PauliString({int(rng.integers(nq)): str(rng.choice(["X", "Y", "Z"]))})]
-        raw = state.amplitudes.conj() @ _dense_pauli(obs[0], nq) @ state.amplitudes
+        raw = amps.conj() @ _dense_pauli(obs[0], nq) @ amps
         value = evaluate_expectations(circuit, theta, features, obs)[0]
         worst_imag = max(worst_imag, abs(float(np.imag(raw))), abs(value - float(np.real(raw))))
         bounds_ok = bounds_ok and -1.0 - 1e-12 <= value <= 1.0 + 1e-12

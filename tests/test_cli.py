@@ -241,6 +241,44 @@ def test_eval_rejects_checkpoint_without_key(checkpoint, tmp_path, capsys, key):
     assert key in err
 
 
+_BAD_CHECKPOINTS = {
+    "params-string": (lambda p: p["params"].__setitem__(0, "x"), "params"),
+    "params-not-list": (lambda p: p.update(params=5), "params"),
+    "params-null": (lambda p: p["params"].__setitem__(0, None), "params"),
+    "params-bool": (lambda p: p["params"].__setitem__(0, True), "params"),
+    "num_params-string": (lambda p: p.update(num_params="3"), "num_params"),
+    "seed-string": (lambda p: p.update(seed="x"), "seed"),
+    "seed-negative": (lambda p: p.update(seed=-1), "seed"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_CHECKPOINTS))
+def test_eval_rejects_bad_checkpoint_value(checkpoint, tmp_path, capsys, fault):
+    edit, key = _BAD_CHECKPOINTS[fault]
+    payload = json.loads(checkpoint.read_text())
+    edit(payload)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    err = _fails_cleanly(["eval", "--checkpoint", str(broken), "--shots", "10"], capsys)
+    assert key in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck", "--seeds", "0,-1"], "--seeds"),
+    (["eval", "--seed", "-2", "--shots", "10"], "--seed"),
+    (["sweep", "noise", "--seeds", "-1"], "--seeds"),
+    (["sweep", "noise", "--seed", "-1"], "--seed"),
+], ids=["gradcheck-seeds", "eval-seed", "sweep-seeds", "sweep-seed"])
+def test_negative_seed_fails_cleanly(checkpoint, tiny_config, tmp_path, capsys, argv, flag):
+    if argv[0] != "gradcheck":
+        argv = argv + ["--checkpoint", str(checkpoint)]
+    if argv[0] == "sweep":
+        argv = argv + ["--config", tiny_config, "--out-dir", str(tmp_path / "sweep")]
+    err = _fails_cleanly(argv, capsys)
+    assert f"{flag} must be >= 0" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_noise_rejects_zero_trajectories(tiny_config, checkpoint, tmp_path, capsys):
     _fails_cleanly(["sweep", "noise", "--config", tiny_config,
                     "--checkpoint", str(checkpoint), "--grid", "0.0,0.05",
@@ -318,9 +356,9 @@ def test_shot_streams_are_distinct_and_reproducible(monkeypatch):
     keys = []
     sample = qmtl.model.sample_expectation
 
-    def recording(state, group, shots, seed):
+    def recording(amps, group, shots, seed):
         keys.append(seed)
-        return sample(state, group, shots, seed)
+        return sample(amps, group, shots, seed)
 
     monkeypatch.setattr(qmtl.model, "sample_expectation", recording)
     first = eval_logits(head_model, params, features, shots=64, seed=5)

@@ -233,7 +233,7 @@ def test_classical_head_model_grads():
 
 def test_hqnn_head_model_grads():
     model = HqnnHeadModel(5, 4, [1, 2], ["u", "v"])
-    assert model.classical_param_count() == model.num_params - model.n_circuit
+    assert model.decay_mask().sum() == model.num_params - model.n_circuit
     rng = np.random.default_rng(1)
     params = model.init_params(seed=0)
     features = rng.normal(size=(3, 5))

@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
+from qmtl.circuit import Circuit, GateOp
 from qmtl.errors import CapacityError, GroupingError
 from qmtl.statevector import (
     FIXED_GATES,
     PauliString,
-    apply_1q,
-    apply_cnot,
+    apply_cnot_array,
     apply_matrix,
     check_group,
-    expectation,
+    expectation_array,
     gate_matrix,
-    init_zero,
     pauli,
     rot_matrix,
     rx_matrix,
     ry_matrix,
     rz_matrix,
     sample_expectation,
+    zero_batch,
 )
 
 _X = FIXED_GATES["x"]
@@ -44,29 +44,36 @@ def dense_cnot(control, target, num_qubits):
 
 
 def random_state(num_qubits, seed):
+    """Normalised random 1-D amplitudes."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    amps /= np.linalg.norm(amps)
-    return Statevector_like(num_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
-def Statevector_like(num_qubits, amps):
-    state = init_zero(num_qubits)
-    state.amplitudes = amps.astype(complex)
-    return state
+def zero_state(num_qubits):
+    return zero_batch(num_qubits, 1)[0]
 
 
-def test_init_zero():
-    state = init_zero(3)
-    assert state.dim == 8
-    assert state.amplitudes[0] == 1.0
-    assert state.norm() == pytest.approx(1.0)
+def apply_gate(amps, kind, qubit, angles=()):
+    return apply_matrix(amps, gate_matrix(kind, angles), qubit, amps.shape[-1].bit_length() - 1)
+
+
+def expectation(amps, obs):
+    return float(expectation_array(amps, obs.as_dict(), amps.shape[-1].bit_length() - 1))
+
+
+def test_zero_batch_is_the_zero_state():
+    amps = zero_batch(3, 2)
+    assert amps.shape == (2, 8)
+    assert amps.dtype == complex
+    np.testing.assert_array_equal(amps[:, 0], 1.0)
+    np.testing.assert_allclose(np.sum(np.abs(amps) ** 2, axis=1), 1.0)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 25])
 def test_capacity_guard(bad):
     with pytest.raises(CapacityError):
-        init_zero(bad)
+        zero_batch(bad, 1)
 
 
 def test_rotation_convention():
@@ -95,20 +102,15 @@ def test_gates_unitary():
 
 def test_little_endian_indexing():
     # X on qubit 0 flips the least significant bit: |00> -> |01> = index 1
-    state = init_zero(2)
-    apply_1q(state, "x", 0)
-    np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-15)
-    state = init_zero(2)
-    apply_1q(state, "x", 1)
-    np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(apply_gate(zero_state(2), "x", 0), [0, 1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(apply_gate(zero_state(2), "x", 1), [0, 0, 1, 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
-def test_apply_1q_matches_dense_oracle(num_qubits):
+def test_named_gate_matches_dense_oracle(num_qubits):
     rng = np.random.default_rng(num_qubits)
     for trial in range(5):
         state = random_state(num_qubits, seed=100 * num_qubits + trial)
-        ref = state.amplitudes.copy()
         kind = rng.choice(["h", "x", "y", "z", "rx", "ry", "rz", "rot"])
         if kind == "rot":
             angles = tuple(rng.uniform(0, 2 * np.pi, 3))
@@ -118,9 +120,9 @@ def test_apply_1q_matches_dense_oracle(num_qubits):
             angles = ()
         qubit = int(rng.integers(num_qubits))
         mat = gate_matrix(kind, angles)
-        apply_1q(state, kind, qubit, angles)
-        expected = dense_1q(mat, qubit, num_qubits) @ ref
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+        expected = dense_1q(mat, qubit, num_qubits) @ state
+        np.testing.assert_allclose(apply_matrix(state, mat, qubit, num_qubits), expected,
+                                   atol=1e-13)
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 8))
@@ -150,27 +152,25 @@ def test_apply_cnot_matches_dense_oracle():
     for trial in range(10):
         num_qubits = int(rng.integers(2, 5))
         state = random_state(num_qubits, seed=trial)
-        ref = state.amplitudes.copy()
         control = int(rng.integers(num_qubits))
         target = int(rng.integers(num_qubits - 1))
         target += target >= control
-        apply_cnot(state, control, target)
-        expected = dense_cnot(control, target, num_qubits) @ ref
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
+        expected = dense_cnot(control, target, num_qubits) @ state
+        np.testing.assert_allclose(apply_cnot_array(state, control, target, num_qubits),
+                                   expected, atol=1e-14)
 
 
 def test_cnot_validation():
-    state = init_zero(2)
     with pytest.raises(ValueError):
-        apply_cnot(state, 1, 1)
-    with pytest.raises(IndexError):
-        apply_cnot(state, 0, 2)
+        GateOp("cnot", (1, 1))
+    with pytest.raises(ValueError):
+        Circuit(2, [GateOp("cnot", (0, 2))])
 
 
 def test_expectation_known_values():
-    state = init_zero(2)
+    state = zero_state(2)
     assert expectation(state, pauli("Z0")) == pytest.approx(1.0)
-    apply_1q(state, "h", 0)
+    state = apply_gate(state, "h", 0)
     assert expectation(state, pauli("X0")) == pytest.approx(1.0)
     assert expectation(state, pauli("Z0")) == pytest.approx(0.0, abs=1e-15)
 
@@ -191,7 +191,7 @@ def test_expectation_matches_dense_oracle():
         for q in range(num_qubits):
             m = FIXED_GATES[terms[q].lower()] if q in terms else np.eye(2)
             dense = np.kron(m, dense)
-        expected = np.real(state.amplitudes.conj() @ dense @ state.amplitudes)
+        expected = np.real(state.conj() @ dense @ state)
         value = expectation(state, obs)
         assert value == pytest.approx(expected, abs=1e-13)
         assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
@@ -232,9 +232,7 @@ def test_check_group():
 
 
 def test_sample_expectation_converges():
-    state = init_zero(2)
-    apply_1q(state, "ry", 0, (0.9,))
-    apply_cnot(state, 0, 1)
+    state = apply_cnot_array(apply_gate(zero_state(2), "ry", 0, (0.9,)), 0, 1, 2)
     group = [pauli("Z0"), pauli("Z1"), pauli("Z0*Z1")]
     estimates = sample_expectation(state, group, shots=200_000, seed=5)
     for obs, est in zip(group, estimates):
@@ -242,15 +240,23 @@ def test_sample_expectation_converges():
 
 
 def test_sample_expectation_x_basis():
-    state = init_zero(1)
-    apply_1q(state, "h", 0)
+    state = apply_gate(zero_state(1), "h", 0)
     (est,) = sample_expectation(state, [pauli("X0")], shots=100, seed=0)
     assert est == pytest.approx(1.0)
 
 
 def test_sample_expectation_deterministic():
-    state = init_zero(2)
-    apply_1q(state, "ry", 0, (1.2,))
+    state = apply_gate(zero_state(2), "ry", 0, (1.2,))
     a = sample_expectation(state, [pauli("Z0")], shots=500, seed=3)
     b = sample_expectation(state, [pauli("Z0")], shots=500, seed=3)
     assert a == b
+
+
+def test_sample_expectation_refuses_bad_input():
+    state = zero_state(2)
+    with pytest.raises(ValueError):
+        sample_expectation(state, [pauli("Z0")], shots=0, seed=0)
+    with pytest.raises(GroupingError):
+        sample_expectation(state, [pauli("Z0"), pauli("X0")], shots=10, seed=0)
+    with pytest.raises(IndexError):
+        sample_expectation(state, [pauli("Z0"), pauli("Z0*Z2")], shots=10, seed=0)

@@ -158,6 +158,30 @@ def test_report_marks_degenerate_metrics_and_missing_counts():
     assert report["u"].get("f1_degenerate") is True
 
 
+def test_report_chance_is_the_majority_class():
+    spec = TaskSpec("u", "binary", metrics=("accuracy", "mcc"))
+    # labeled: three 1s, one 0; the predictor gets 3 of 4 right
+    logits = {"u": np.array([[1.0], [1.0], [-1.0], [-1.0], [1.0]])}
+    labels = {"u": np.array([1, 1, 1, 0, MISSING])}
+    entry = report_from_logits(logits, labels, [spec])["u"]
+    assert entry["chance"] == 0.75
+    assert entry["accuracy"] == 0.75
+    assert entry["margin"] == 0.0
+    mcc_first = TaskSpec("u", "binary", metrics=("mcc",))
+    entry = report_from_logits(logits, labels, [mcc_first])["u"]
+    assert entry["chance"] == 0.0
+    assert entry["margin"] == entry["mcc"]
+
+
+def test_report_chance_of_regression_is_zero():
+    spec = TaskSpec("r", "regression", metrics=("pearson",))
+    labels = np.array([0.5, -1.0, 2.0, 0.25])
+    entry = report_from_logits({"r": labels[:, None]}, {"r": labels}, [spec])["r"]
+    assert entry["chance"] == 0.0
+    assert entry["pearson"] == pytest.approx(1.0)
+    assert entry["margin"] == entry["pearson"]
+
+
 def test_monitored_value_macro_average():
     report = {"u": {"accuracy": 1.0}, "v": {"accuracy": 0.5}}
     assert monitored_value(report, SPECS) == pytest.approx(0.75)
