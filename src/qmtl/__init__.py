@@ -10,6 +10,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DegenerateBatchError,
+    DivergenceError,
     GroupingError,
     QmtlError,
     UnsupportedGateError,

@@ -104,8 +104,11 @@ def _feature_dim(config: dict) -> int:
 
 
 def _heads(config: dict) -> list:
-    """The config's head entries, each checked to be an object with a name."""
+    """The config's head entries, at least one, each checked to be an object
+    with a name."""
     heads = _require(config, "heads", kind=list)
+    if not heads:
+        raise ConfigError("config 'heads' must list at least one head")
     for i, h in enumerate(heads):
         if not isinstance(h, dict) or "name" not in h:
             raise ConfigError(f"head {i} has no 'name'")
@@ -273,6 +276,18 @@ def read_checkpoint(path: Path) -> dict:
     if len(params) != payload["num_params"]:
         raise ConfigError("checkpoint is corrupt: parameter count mismatch")
     return payload
+
+
+def checkpoint_model(checkpoint: dict, config: dict, specs) -> tuple:
+    """The head model ``config`` builds and the checkpoint's parameters for
+    it, or a ConfigError when the two sizes differ."""
+    head_model = head_model_from(config, specs)
+    if head_model.num_params != checkpoint["num_params"]:
+        raise ConfigError(
+            f"checkpoint/config mismatch: checkpoint has {checkpoint['num_params']} "
+            f"parameters, config builds {head_model.num_params}"
+        )
+    return head_model, np.array(checkpoint["params"], dtype=float)
 
 
 def run_report(config: dict, report: dict, specs, seed: int, extra=None) -> dict:
@@ -452,13 +467,7 @@ def cmd_eval(args) -> int:
     specs = task_specs_from(config)
     seed = args.seed if args.seed is not None else checkpoint["seed"]
     noise = _noise_spec(args.p1, args.p2, args.trajectories, seed)
-    head_model = head_model_from(config, specs)
-    if head_model.num_params != checkpoint["num_params"]:
-        raise ConfigError(
-            f"checkpoint/config mismatch: checkpoint has {checkpoint['num_params']} "
-            f"parameters, config builds {head_model.num_params}"
-        )
-    params = np.array(checkpoint["params"], dtype=float)
+    head_model, params = checkpoint_model(checkpoint, config, specs)
     _, val_data = gen_synthetic(data_spec_from(config, specs))
     logits = eval_logits(head_model, params, val_data.features,
                          shots=args.shots, noise=noise,
@@ -527,6 +536,16 @@ def _metric_cells(report: dict, specs) -> dict:
     return cells
 
 
+def _budget_cells(config: dict, specs) -> dict:
+    """The P_C cell of a sweep row, and P_shared and P_Q for the qmtl variant."""
+    budget = budget_dict(config, specs)
+    cells = {"P_C": budget["classical"]}
+    if "quantum" in budget:
+        cells["P_shared"] = budget["quantum"]["shared"]
+        cells["P_Q"] = budget["quantum"]["total"]
+    return cells
+
+
 def _rebuild_config(config: dict, *, layers=None, head_layers=None, entangling=None):
     out = json.loads(json.dumps(config))
     if layers is not None:
@@ -538,7 +557,7 @@ def _rebuild_config(config: dict, *, layers=None, head_layers=None, entangling=N
         for h in out["heads"]:
             h["layers"] = head_layers
     if entangling is not None:
-        out["encoder"]["entangling"] = entangling
+        _require(out, "encoder")["entangling"] = entangling
     return out
 
 
@@ -566,62 +585,50 @@ def cmd_sweep(args) -> int:
         grid = _parse_float_list(args.grid) if args.grid else [0.0, 0.01, 0.05, 0.1, 0.2]
         # checked before any training; each seed gets its own noise stream
         noises = [_noise_spec(p, p, args.trajectories, 0) for p in grid]
-        for seed in seeds:
-            if args.checkpoint is not None:
-                checkpoint = read_checkpoint(Path(args.checkpoint))
-                config = checkpoint["config"]
-                specs = task_specs_from(config)
-                params = np.array(checkpoint["params"], dtype=float)
-            else:
-                config = base
-                specs, _, result = _train_and_eval(config, seed)
-                params = result.best_params
+        checkpoint = None if args.checkpoint is None else read_checkpoint(Path(args.checkpoint))
+        config = base if checkpoint is None else checkpoint["config"]
+        specs = task_specs_from(config)
+        if checkpoint is None:
             head_model = head_model_from(config, specs)
-            if head_model.num_params != len(params):
-                raise ConfigError("checkpoint/config mismatch in noise sweep")
-            _, val_data = gen_synthetic(data_spec_from(config, specs))
-            budget = budget_dict(config, specs)
+        else:
+            head_model, params = checkpoint_model(checkpoint, config, specs)
+        train_data, val_data = gen_synthetic(data_spec_from(config, specs))
+        cells = _budget_cells(config, specs)
+        for seed in seeds:
+            if checkpoint is None:
+                cfg = train_config_from(config, seed_override=seed)
+                params = train(head_model, train_data, val_data, specs, cfg).best_params
             for p, noise in zip(grid, noises):
                 if noise is not None:
                     noise = replace(noise, seed=seed)
                 logits = eval_logits(head_model, params, val_data.features,
                                      noise=noise, seed=seed)
                 report = report_from_logits(logits, val_data.labels, specs)
-                row = {"kind": "noise", "seed": seed, "p1": p, "p2": p,
-                       "P_C": budget["classical"]}
-                if "quantum" in budget:
-                    row["P_shared"] = budget["quantum"]["shared"]
-                    row["P_Q"] = budget["quantum"]["total"]
-                row.update(_metric_cells(report, specs))
-                rows.append(row)
+                rows.append({"kind": "noise", "seed": seed, "p1": p, "p2": p, **cells,
+                             **_metric_cells(report, specs)})
     else:
         if args.kind == "depth-L":
             grid = _parse_int_list(args.grid) if args.grid else [2, 3, 4]
-            variants = [({"L": L}, _rebuild_config(base, layers=L)) for L in grid]
+            configs = [_rebuild_config(base, layers=L) for L in grid]
         elif args.kind == "depth-Lh":
             grid = _parse_int_list(args.grid) if args.grid else [1, 2]
-            variants = [({"L_h": Lh}, _rebuild_config(base, head_layers=Lh))
-                        for Lh in grid]
+            configs = [_rebuild_config(base, head_layers=Lh) for Lh in grid]
         else:
-            variants = [({"entangling": flag}, _rebuild_config(base, entangling=flag))
-                        for flag in (True, False)]
-        if not variants:
+            configs = [_rebuild_config(base, entangling=flag) for flag in (True, False)]
+        if not configs:
             raise ConfigError("empty sweep grid")
-        for delta, config in variants:
+        for config in configs:
+            specs = task_specs_from(config)
+            encoder = _require(config, "encoder")
+            # the cells that do not depend on the seed, read before any training
+            cells = {"kind": args.kind,
+                     "L": _require(encoder, "layers", "encoder"),
+                     "L_h": config["heads"][0].get("layers", 1),
+                     "entangling": _optional(encoder, "entangling", True, "encoder"),
+                     **_budget_cells(config, specs)}
             for seed in seeds:
-                specs, report, _ = _train_and_eval(config, seed)
-                budget = budget_dict(config, specs)
-                row = {"kind": args.kind, "seed": seed,
-                       "L": config["encoder"]["layers"],
-                       "L_h": config["heads"][0].get("layers", 1),
-                       "entangling": config["encoder"].get("entangling", True),
-                       "P_C": budget["classical"]}
-                if "quantum" in budget:
-                    row["P_shared"] = budget["quantum"]["shared"]
-                    row["P_Q"] = budget["quantum"]["total"]
-                row.update(delta)
-                row.update(_metric_cells(report, specs))
-                rows.append(row)
+                _, report, _ = _train_and_eval(config, seed)
+                rows.append({"seed": seed, **cells, **_metric_cells(report, specs)})
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,10 @@ class ConfigError(QmtlError):
     """Invalid or inconsistent model/run configuration."""
 
 
+class DivergenceError(QmtlError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class DegenerateBatchError(QmtlError):
     """A batch contains no labeled entries for any task."""
 

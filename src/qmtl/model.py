@@ -47,25 +47,23 @@ class SharedEncoderConfig:
 
 @dataclass(frozen=True)
 class Calibration:
+    """logit = gamma * raw + beta per head: "affine" trains (gamma_i, beta_i)
+    per logit, initialized to (1.0, 0.5); "temperature" trains one gamma = tau,
+    initialized to 1.0; "none" trains nothing."""
+
     kind: str = "none"  # "none" | "affine" | "temperature"
-    gamma: float = 1.0
-    beta: float = 0.5
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("none", "affine", "temperature"):
             raise ConfigError(f"unknown calibration kind {self.kind!r}")
 
     def num_params(self, outputs: int) -> int:
-        # affine is per-logit so it can move multiclass decision boundaries
-        return {"none": 0, "affine": 2 * outputs, "temperature": 1}[self.kind]
+        return len(self.initial_values(outputs))
 
     def initial_values(self, outputs: int) -> list:
-        if self.kind == "affine":
-            return [self.gamma] * outputs + [self.beta] * outputs
-        if self.kind == "temperature":
-            return [self.tau]
-        return []
+        # affine is per-logit so it can move multiclass decision boundaries
+        return {"none": [], "affine": [1.0] * outputs + [0.5] * outputs,
+                "temperature": [1.0]}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -337,17 +335,20 @@ def assemble(config: QmtlModelConfig) -> QmtlModel:
     )
 
 
+def _gamma_beta(head: AssembledHead, params: np.ndarray) -> tuple:
+    """The head's calibration logit = gamma * raw + beta as (gamma, beta): the
+    per-logit (gamma_i, beta_i) for affine, (tau, None) for temperature and
+    (None, None) for none, where None leaves the logit as it is."""
+    scalars = params[head.calib_slice]
+    if head.calibration.kind == "affine":
+        return scalars[: head.outputs], scalars[head.outputs:]
+    return (scalars[0] if head.calibration.kind == "temperature" else None), None
+
+
 def _calibrate(head: AssembledHead, raw: np.ndarray, params: np.ndarray) -> np.ndarray:
-    cal = head.calibration
-    if cal.kind == "affine":
-        r = head.outputs
-        scalars = params[head.calib_slice]
-        gamma, beta = scalars[:r], scalars[r:]
-        return beta + gamma * raw
-    if cal.kind == "temperature":
-        (tau,) = params[head.calib_slice]
-        return tau * raw
-    return raw
+    gamma, beta = _gamma_beta(head, params)
+    scaled = raw if gamma is None else gamma * raw
+    return scaled if beta is None else beta + scaled
 
 
 def logits_from_raw(model: QmtlModel, params: np.ndarray, raw: np.ndarray) -> dict:
@@ -410,13 +411,8 @@ def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
         if head.name not in dlogits:
             continue
         d = np.asarray(dlogits[head.name])
-        cal = head.calibration
-        if cal.kind == "affine":
-            draw[:, head.logit_slice] = params[head.calib_slice][: head.outputs] * d
-        elif cal.kind == "temperature":
-            draw[:, head.logit_slice] = params[head.calib_slice][0] * d
-        else:
-            draw[:, head.logit_slice] = d
+        gamma, _ = _gamma_beta(head, params)
+        draw[:, head.logit_slice] = d if gamma is None else gamma * d
 
     theta = params[: model.num_circuit_params]
     raw, dtheta, _ = adjoint_vjp(model.circuit, theta, features,
@@ -429,14 +425,14 @@ def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
         if head.name not in dlogits:
             continue
         d = np.asarray(dlogits[head.name])
-        z = raw[:, head.logit_slice]
-        s = head.calib_slice.start
-        if head.calibration.kind == "affine":
-            r = head.outputs
-            grad[s:s + r] = np.sum(d * z, axis=0)              # d/dgamma_i
-            grad[s + r:s + 2 * r] = np.sum(d, axis=0)          # d/dbeta_i
-        elif head.calibration.kind == "temperature":
-            grad[s] = np.sum(d * z)                            # d/dtau
+        gamma, beta = _gamma_beta(head, params)
+        calib = grad[head.calib_slice]
+        if gamma is not None:
+            # d/dgamma_i per logit; a scalar tau sums over every logit
+            z = raw[:, head.logit_slice]
+            calib[: np.size(gamma)] = np.sum(d * z, axis=0 if np.ndim(gamma) else None)
+        if beta is not None:
+            calib[np.size(gamma):] = np.sum(d, axis=0)          # d/dbeta_i
     return grad
 
 
@@ -491,8 +487,7 @@ class QmtlHeadModel:
     def __init__(self, config: QmtlModelConfig):
         self.model = assemble(config)
         self.task_names = list(self.model.task_names)
-        self.outputs = {h.name: h.logit_slice.stop - h.logit_slice.start
-                        for h in self.model.heads}
+        self.outputs = {h.name: h.outputs for h in self.model.heads}
         self.feature_dim = self.model.circuit.num_inputs
 
     @property
@@ -513,7 +508,9 @@ class QmtlHeadModel:
 
 
 class ClassicalHeadModel:
-    """Hard-parameter-sharing baseline: one linear layer per task."""
+    """Hard-parameter-sharing baseline: one linear layer per task, logits_t =
+    x @ W_t.T + b_t, laid out task by task as [W_t (r_t x d, row-major) | b_t].
+    The HQNN baseline builds its projection and task layers from it."""
 
     def __init__(self, feature_dim: int, outputs_per_task: Sequence[int],
                  task_names: Sequence[str]):
@@ -522,57 +519,50 @@ class ClassicalHeadModel:
         self.feature_dim = feature_dim
         self.task_names = list(task_names)
         self.outputs = dict(zip(task_names, outputs_per_task))
-        self._slices = {}
-        offset = 0
-        for name in self.task_names:
-            r = self.outputs[name]
-            self._slices[name] = (slice(offset, offset + r * feature_dim),
-                                  slice(offset + r * feature_dim, offset + r * (feature_dim + 1)))
-            offset += r * (feature_dim + 1)
-        self._num_params = offset
-
-    @property
-    def num_params(self) -> int:
-        return self._num_params
+        self.num_params = count_params_classical(feature_dim, outputs_per_task)
 
     def decay_mask(self) -> np.ndarray:
-        return np.ones(self._num_params, dtype=bool)
+        return np.ones(self.num_params, dtype=bool)
 
     def init_params(self, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        params = np.zeros(self._num_params)
-        for name in self.task_names:
-            w_slice, _ = self._slices[name]
-            n = w_slice.stop - w_slice.start
-            params[w_slice] = rng.normal(0.0, 1.0 / np.sqrt(self.feature_dim), n)
+        return self.draw_params(np.random.default_rng(seed))
+
+    def draw_params(self, rng: np.random.Generator) -> np.ndarray:
+        """Weights N(0, 1/d) drawn task by task from ``rng``; biases 0."""
+        params = np.zeros(self.num_params)
+        for _, w, _, _ in self._layers(params):
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(self.feature_dim), w.shape)
         return params
 
-    def _unpack(self, params, name):
-        w_slice, b_slice = self._slices[name]
-        r = self.outputs[name]
-        w = params[w_slice].reshape(r, self.feature_dim)
-        b = params[b_slice]
-        return w, b
+    def _layers(self, params):
+        """(name, W_t view of ``params``, W_t slice, b_t slice) per task."""
+        d, offset = self.feature_dim, 0
+        for name in self.task_names:
+            w_slice = slice(offset, offset + self.outputs[name] * d)
+            offset = w_slice.stop + self.outputs[name]
+            yield name, params[w_slice].reshape(-1, d), w_slice, slice(w_slice.stop, offset)
 
     def forward_batch(self, params, features):
         features = np.asarray(features, dtype=float)
-        out = {}
-        for name in self.task_names:
-            w, b = self._unpack(params, name)
-            out[name] = features @ w.T + b
-        return out
+        return {name: features @ w.T + params[b] for name, w, _, b in self._layers(params)}
 
     def backward_batch(self, params, features, dlogits):
         features = np.asarray(features, dtype=float)
-        grad = np.zeros(self._num_params)
-        for name in self.task_names:
-            if name not in dlogits:
-                continue
-            d = np.asarray(dlogits[name])
-            w_slice, b_slice = self._slices[name]
-            grad[w_slice] = (d.T @ features).ravel()
-            grad[b_slice] = d.sum(axis=0)
+        grad = np.zeros(self.num_params)
+        for name, _, w, b in self._layers(params):
+            if name in dlogits:
+                d = np.asarray(dlogits[name])
+                grad[w] = (d.T @ features).ravel()
+                grad[b] = d.sum(axis=0)
         return grad
+
+    def input_gradient(self, params, dlogits, rows: int) -> np.ndarray:
+        """dL/dx = sum_t dlogits_t @ W_t over the tasks in ``dlogits``, (rows, d)."""
+        dx = np.zeros((rows, self.feature_dim))
+        for name, w, _, _ in self._layers(params):
+            if name in dlogits:
+                dx += np.asarray(dlogits[name]) @ w
+        return dx
 
 
 def build_hqnn_circuit(num_qubits: int) -> Circuit:
@@ -595,7 +585,9 @@ def build_hqnn_circuit(num_qubits: int) -> Circuit:
 
 class HqnnHeadModel:
     """Hybrid baseline: trainable projection d->3, small VQC, per-qubit <Z>
-    scaled by a trainable scalar, then per-task linear layers."""
+    scaled by a trainable scalar, then per-task linear layers.  Parameters
+    are [VQC angles | projection W, b | scale | task W_t, b_t ...]; the
+    projection and task layers are ``ClassicalHeadModel``s."""
 
     BOTTLENECK = 3
 
@@ -603,100 +595,51 @@ class HqnnHeadModel:
                  outputs_per_task: Sequence[int], task_names: Sequence[str]):
         self.feature_dim = feature_dim
         self.num_qubits = num_qubits
-        self.task_names = list(task_names)
-        self.outputs = dict(zip(task_names, outputs_per_task))
         self.circuit = build_hqnn_circuit(num_qubits)
         self.observables = [PauliString({q: "Z"}) for q in range(num_qubits)]
+        self.projection = ClassicalHeadModel(feature_dim, [self.BOTTLENECK], ["projection"])
+        self.tasks = ClassicalHeadModel(num_qubits, outputs_per_task, task_names)
+        self.task_names = self.tasks.task_names
+        self.outputs = self.tasks.outputs
 
-        b = self.BOTTLENECK
         self.n_circuit = self.circuit.num_trainable
-        offset = self.n_circuit
-        self.proj_w = slice(offset, offset + b * feature_dim)
-        offset += b * feature_dim
-        self.proj_b = slice(offset, offset + b)
-        offset += b
-        self.scale = offset
-        offset += 1
-        self._head_slices = {}
-        for name in self.task_names:
-            r = self.outputs[name]
-            self._head_slices[name] = (
-                slice(offset, offset + r * num_qubits),
-                slice(offset + r * num_qubits, offset + r * (num_qubits + 1)),
-            )
-            offset += r * (num_qubits + 1)
-        self._num_params = offset
-
-    @property
-    def num_params(self) -> int:
-        return self._num_params
+        self.scale = self.n_circuit + self.projection.num_params
+        self.num_params = self.scale + 1 + self.tasks.num_params
 
     def decay_mask(self) -> np.ndarray:
-        mask = np.ones(self._num_params, dtype=bool)
+        mask = np.ones(self.num_params, dtype=bool)
         mask[: self.n_circuit] = False
         return mask
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        params = np.zeros(self._num_params)
-        params[: self.n_circuit] = rng.uniform(0.0, 2 * np.pi, self.n_circuit)
-        params[self.proj_w] = rng.normal(
-            0.0, 1.0 / np.sqrt(self.feature_dim), self.BOTTLENECK * self.feature_dim
-        )
-        params[self.scale] = 1.0
-        for name in self.task_names:
-            w_slice, _ = self._head_slices[name]
-            n = w_slice.stop - w_slice.start
-            params[w_slice] = rng.normal(0.0, 1.0 / np.sqrt(self.num_qubits), n)
-        return params
+        theta = rng.uniform(0.0, 2 * np.pi, self.n_circuit)
+        return np.concatenate([theta, self.projection.draw_params(rng), [1.0],
+                               self.tasks.draw_params(rng)])
 
-    def _project(self, params, features):
-        a = params[self.proj_w].reshape(self.BOTTLENECK, self.feature_dim)
-        return features @ a.T + params[self.proj_b]
+    def _split(self, params):
+        """(VQC angles, projection params, scale, task-layer params) views."""
+        return (params[: self.n_circuit], params[self.n_circuit:self.scale],
+                params[self.scale], params[self.scale + 1:])
 
     def forward_batch(self, params, features):
-        features = np.asarray(features, dtype=float)
-        u = self._project(params, features)
-        theta = params[: self.n_circuit]
+        theta, proj, scale, tasks = self._split(params)
+        u = self.projection.forward_batch(proj, features)["projection"]
         expect = evaluate_expectations_batch(self.circuit, theta, u, self.observables)
-        scaled = params[self.scale] * expect
-        out = {}
-        for name in self.task_names:
-            w_slice, b_slice = self._head_slices[name]
-            r = self.outputs[name]
-            w = params[w_slice].reshape(r, self.num_qubits)
-            out[name] = scaled @ w.T + params[b_slice]
-        return out
+        return self.tasks.forward_batch(tasks, scale * expect)
 
     def backward_batch(self, params, features, dlogits):
         from .gradients import adjoint_vjp
 
         features = np.asarray(features, dtype=float)
-        u = self._project(params, features)
-        theta = params[: self.n_circuit]
-        scale = params[self.scale]
-
-        grad = np.zeros(self._num_params)
-        dscaled = np.zeros((len(features), self.num_qubits))
-        for name in self.task_names:
-            if name in dlogits:
-                w = params[self._head_slices[name][0]].reshape(self.outputs[name],
-                                                               self.num_qubits)
-                dscaled += np.asarray(dlogits[name]) @ w
-
+        theta, proj, scale, tasks = self._split(params)
+        u = self.projection.forward_batch(proj, features)["projection"]
+        dscaled = self.tasks.input_gradient(tasks, dlogits, len(features))
         expect, dtheta, du = adjoint_vjp(self.circuit, theta, u, self.observables,
                                          scale * dscaled)
-        grad[: self.n_circuit] = dtheta
-        grad[self.scale] = np.sum(dscaled * expect)
-        grad[self.proj_w] = (du.T @ features).ravel()
-        grad[self.proj_b] = du.sum(axis=0)
-
-        scaled = scale * expect
-        for name in self.task_names:
-            if name not in dlogits:
-                continue
-            d = np.asarray(dlogits[name])
-            w_slice, b_slice = self._head_slices[name]
-            grad[w_slice] = (d.T @ scaled).ravel()
-            grad[b_slice] = d.sum(axis=0)
-        return grad
+        return np.concatenate([
+            dtheta,
+            self.projection.backward_batch(proj, features, {"projection": du}),
+            [np.sum(dscaled * expect)],
+            self.tasks.backward_batch(tasks, scale * expect, dlogits),
+        ])

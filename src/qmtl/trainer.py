@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import MultiTaskBatch
-from .errors import ConfigError, DegenerateBatchError
+from .errors import ConfigError, DegenerateBatchError, DivergenceError
 from .gradients import loss_gradient
 from .losses import MISSING, TaskSpec, class_weights, softmax, task_loss_and_grad
 from .metrics import compute_metric
@@ -255,6 +255,10 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
                 continue
             finally:
                 gradient_s += time.perf_counter() - tick
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, step {step + 1}: the loss or "
+                    f"its gradient is not finite; try a smaller 'lr' (now {lr:g})")
             tick = time.perf_counter()
             grad_norm += float(np.linalg.norm(grad))
             grad = clip_global_norm(grad, cfg.clip_norm)

@@ -390,6 +390,7 @@ def test_bad_train_key_fails_cleanly(tmp_path, capsys, key):
 
 _BAD_SHAPES = {
     "heads": (lambda cfg: cfg.update(heads=5), "heads"),
+    "no-heads": (lambda cfg: cfg.update(heads=[]), "at least one head"),
     "encoder": (lambda cfg: cfg.update(encoder=4), "encoder"),
     "metric": (lambda cfg: cfg["heads"][0].update(metrics=["accuracy", "auroc"]), "auroc"),
     # the scaling table is read by `params` only
@@ -450,3 +451,44 @@ def test_eval_report_records_noise_engine(checkpoint, tmp_path, monkeypatch, fla
     assert main(["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out)] + flags) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["noise"]["engine"] == chosen
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_divergent_training_fails_cleanly(tmp_path, capsys):
+    config = get_preset("toy")
+    config["train"].update(lr=1e3, epochs=2)
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(config))
+    err = _fails_cleanly(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")],
+                         capsys)
+    assert "diverged at epoch 1" in err and "step" in err and "smaller 'lr'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["entanglement", "depth-Lh"])
+def test_sweep_without_encoder_fails_cleanly(tmp_path, capsys, kind):
+    def edit(cfg):
+        cfg["variant"] = "classical"
+        del cfg["encoder"]
+    argv = _broken_config_argv(tmp_path, "sweep", edit)
+    err = _fails_cleanly(argv[:1] + [kind] + argv[1:] + ["--out-dir", str(tmp_path / "sweep")],
+                         capsys)
+    assert "'encoder'" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("variant", ["classical", "hqnn"])
+def test_baseline_train_eval_round_trip(tmp_path, capsys, variant):
+    config = dict(TINY_CONFIG, variant=variant)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--config", str(path), "--out-dir", str(run)]) == 0
+    assert f"trained {variant} head" in capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--out-dir", str(out)]) == 0
+    trained = json.loads((run / "report.json").read_text())
+    evaluated = json.loads((out / "report.json").read_text())
+    assert evaluated["tasks"] == trained["tasks"]
+    assert evaluated["budget"] == trained["budget"]
+    assert trained["budget"]["hqnn"] == 9 * 4 + 3 * 4 + 3 + 1 + 2 * (4 + 1)

@@ -252,6 +252,46 @@ def test_hqnn_head_model_grads():
         assert grad[i] == pytest.approx((scalar(up) - scalar(dn)) / (2 * eps), abs=2e-5)
 
 
+@pytest.mark.parametrize("d, q, outputs, expected", [(5, 4, [1, 2], 70), (12, 4, [1, 1, 3], 101)],
+                         ids=["d5-q4", "toy"])
+def test_hqnn_num_params(d, q, outputs, expected):
+    # VQC 9Q + projection 3d + 3 + scale 1 + task layers sum_t r_t (Q + 1)
+    model = HqnnHeadModel(d, q, outputs, [f"t{i}" for i in range(len(outputs))])
+    assert model.num_params == 9 * q + 3 * d + 3 + 1 + sum(r * (q + 1) for r in outputs)
+    assert model.num_params == expected
+
+
+def test_hqnn_init_layout():
+    """[VQC angles | projection W, b | scale | task W_t, b_t ...], drawn in
+    that order from one generator: the layout checkpoints are stored in."""
+    model = HqnnHeadModel(5, 4, [1, 2], ["u", "v"])
+    rng = np.random.default_rng(3)
+    expected = np.concatenate([
+        rng.uniform(0.0, 2 * np.pi, 36),
+        rng.normal(0.0, 1.0 / np.sqrt(5), 15), np.zeros(3),
+        [1.0],
+        rng.normal(0.0, 1.0 / np.sqrt(4), 4), np.zeros(1),
+        rng.normal(0.0, 1.0 / np.sqrt(4), 8), np.zeros(2),
+    ])
+    np.testing.assert_array_equal(model.init_params(3), expected)
+
+
+def test_classical_input_gradient_matches_fd():
+    model = ClassicalHeadModel(4, [1, 3], ["u", "v"])
+    rng = np.random.default_rng(2)
+    params = model.init_params(seed=1)
+    features = rng.normal(size=(3, 4))
+    dlogits = {"v": rng.normal(size=(3, 3))}  # "u" absent: it contributes nothing
+    dx = model.input_gradient(params, dlogits, 3)
+    eps = 1e-6
+    for i, j in np.ndindex(features.shape):
+        up, dn = features.copy(), features.copy()
+        up[i, j] += eps
+        dn[i, j] -= eps
+        diff = model.forward_batch(params, up)["v"] - model.forward_batch(params, dn)["v"]
+        assert dx[i, j] == pytest.approx(np.sum(diff * dlogits["v"]) / (2 * eps), abs=1e-6)
+
+
 def test_hqnn_decay_mask_excludes_circuit_angles():
     model = HqnnHeadModel(5, 4, [1], ["u"])
     mask = model.decay_mask()
