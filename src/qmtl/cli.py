@@ -39,7 +39,7 @@ from .model import (
 from .noise import EXACT_QUBITS, NoiseSpec, engine, noisy_expectations
 from .presets import PRESETS, get_preset
 from .statevector import PauliString
-from .trainer import TrainConfig, evaluate, report_from_logits, train
+from .trainer import TrainConfig, evaluate, report_from_logits, resolve_class_weights, train
 
 VARIANTS = ("qmtl", "classical", "hqnn")
 CHECKPOINT_VERSION = 1
@@ -79,14 +79,16 @@ def load_config(args) -> dict:
 def _require(section: dict, key: str, where: str = "config", kind=object):
     """``section[key]``, or a ConfigError naming the missing key, a section
     that is not an object, or a value that is not a ``kind`` (a type or a
-    tuple of types)."""
+    tuple of types).  A JSON boolean is no integer or number here, though
+    Python's ``bool`` is an ``int``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {section!r}")
     if key not in section:
         raise ConfigError(f"{where} has no {key!r}")
     value = section[key]
-    if not isinstance(value, kind):
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and int in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
         raise ConfigError(f"{where} {key!r} must be a {names}, got {value!r}")
     return value
 
@@ -174,6 +176,14 @@ def data_spec_from(config: dict, specs) -> SyntheticSpec:
         n_val=_require(d, "n_val", "data", int),
         **_data_options(config),
     )
+
+
+def _datasets(config: dict, specs) -> tuple:
+    """(specs, train, val): the config's data, and ``specs`` with focal class
+    weights resolved from the training split as ``train`` resolves them, so
+    every report scores the loss that training minimizes."""
+    train_data, val_data = gen_synthetic(data_spec_from(config, specs))
+    return resolve_class_weights(specs, train_data), train_data, val_data
 
 
 def _train_section(config: dict) -> dict:
@@ -350,7 +360,7 @@ def cmd_params(args) -> int:
     if "scaling" in config:
         s = _require(config, "scaling", kind=dict)
         counts = _require(s, "task_counts", "scaling", list)
-        if not all(isinstance(t, int) for t in counts):
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in counts):
             raise ConfigError(f"scaling 'task_counts' must be integers, got {counts!r}")
         rows = scaling_table(counts, **{
             key: _require(s, key, "scaling", int)
@@ -365,6 +375,8 @@ def cmd_params(args) -> int:
     # the counts need no data sizes or train section, but a bad value in
     # either is refused here as `train` refuses it
     _data_options(config)
+    for key in ("n_train", "n_val"):
+        _optional(config["data"], key, None, "data", int)
     train_config_from(config)
     budget = budget_dict(config, specs)
     if "quantum" in budget:
@@ -468,7 +480,7 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else checkpoint["seed"]
     noise = _noise_spec(args.p1, args.p2, args.trajectories, seed)
     head_model, params = checkpoint_model(checkpoint, config, specs)
-    _, val_data = gen_synthetic(data_spec_from(config, specs))
+    specs, _, val_data = _datasets(config, specs)
     logits = eval_logits(head_model, params, val_data.features,
                          shots=args.shots, noise=noise,
                          seed=seed)
@@ -564,7 +576,7 @@ def _rebuild_config(config: dict, *, layers=None, head_layers=None, entangling=N
 def _train_and_eval(config: dict, seed: int):
     specs = task_specs_from(config)
     cfg = train_config_from(config, seed_override=seed)
-    train_data, val_data = gen_synthetic(data_spec_from(config, specs))
+    specs, train_data, val_data = _datasets(config, specs)
     head_model = head_model_from(config, specs)
     result = train(head_model, train_data, val_data, specs, cfg)
     report = evaluate(head_model, result.best_params, val_data, specs)
@@ -592,7 +604,7 @@ def cmd_sweep(args) -> int:
             head_model = head_model_from(config, specs)
         else:
             head_model, params = checkpoint_model(checkpoint, config, specs)
-        train_data, val_data = gen_synthetic(data_spec_from(config, specs))
+        specs, train_data, val_data = _datasets(config, specs)
         cells = _budget_cells(config, specs)
         for seed in seeds:
             if checkpoint is None:

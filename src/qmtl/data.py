@@ -26,19 +26,14 @@ class SyntheticSpec:
     teacher_seed: int = 0
     noise_level: float = 0.0  # label-flip probability
 
-    def __init__(self, feature_dim, tasks, n_train, n_val, teacher_seed=0, noise_level=0.0):
-        if feature_dim < 1:
+    def __post_init__(self):
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
-        if n_train < 1 or n_val < 1:
+        if self.n_train < 1 or self.n_val < 1:
             raise ConfigError("need at least one train and one val sample")
-        if not 0.0 <= noise_level < 0.5:
+        if not 0.0 <= self.noise_level < 0.5:
             raise ConfigError("noise_level must be in [0, 0.5)")
-        object.__setattr__(self, "feature_dim", feature_dim)
-        object.__setattr__(self, "tasks", tuple(tasks))
-        object.__setattr__(self, "n_train", n_train)
-        object.__setattr__(self, "n_val", n_val)
-        object.__setattr__(self, "teacher_seed", teacher_seed)
-        object.__setattr__(self, "noise_level", noise_level)
 
 
 @dataclass

@@ -7,6 +7,7 @@ head trainables in declaration order, then per-head calibration scalars.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -66,6 +67,29 @@ class Calibration:
                 "temperature": [1.0]}[self.kind]
 
 
+# the fixed Pauli readout of each supported (outputs r, head size S), over
+# local qubit indices 0..S-1
+_READOUTS = {
+    (1, 1): ("Z0",),
+    (3, 2): ("Z0", "Z1", "X0*X1"),
+    (9, 4): ("Z0", "Z1", "Z2", "Z3",
+             "Z0*Z1", "Z1*Z2", "Z2*Z3", "Z3*Z0",
+             "X0*X1*X2*X3"),
+}
+
+
+def _unsupported(outputs: int, size: int) -> str:
+    shapes = ", ".join(f"({r}, {s})" for r, s in _READOUTS)
+    return f"no readout for r={outputs} outputs on S={size} qubits; supported (r, S): {shapes}"
+
+
+def default_readout(outputs: int, size: int) -> tuple:
+    """The readout the architecture enumerates for (r, S) in {(1,1),(3,2),(9,4)}."""
+    if (outputs, size) not in _READOUTS:
+        raise ConfigError(_unsupported(outputs, size))
+    return tuple(pauli(s) for s in _READOUTS[(outputs, size)])
+
+
 @dataclass(frozen=True)
 class TaskHeadConfig:
     name: str
@@ -73,36 +97,23 @@ class TaskHeadConfig:
     outputs: int
     layers: int = 1
     k_theta: int = 3
-    readout: Optional[tuple] = None  # PauliStrings over local indices 0..S-1
     calibration: Calibration = field(default_factory=Calibration)
 
-    def __init__(self, name, qubits, outputs, layers=1, k_theta=3, readout=None,
-                 calibration=None):
-        qubits = tuple(qubits)
-        if not qubits:
-            raise ConfigError(f"head {name!r} needs at least one qubit")
-        if len(set(qubits)) != len(qubits):
-            raise ConfigError(f"head {name!r} repeats a qubit")
-        if layers < 0:
+    def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        if not self.qubits:
+            raise ConfigError(f"head {self.name!r} needs at least one qubit")
+        for q in self.qubits:
+            if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+                raise ConfigError(f"head {self.name!r} qubit {q!r} is not an integer")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ConfigError(f"head {self.name!r} repeats a qubit")
+        if self.layers < 0:
             raise ConfigError("head layers must be >= 0")
-        if k_theta not in (1, 3):
+        if self.k_theta not in (1, 3):
             raise ConfigError("k_theta must be 1 or 3")
-        if outputs < 1:
-            raise ConfigError("outputs must be >= 1")
-        readout = tuple(readout) if readout is not None else None
-        if readout is not None:
-            if len(readout) != outputs:
-                raise ConfigError(f"head {name!r}: readout size must equal outputs")
-            for obs in readout:
-                if obs.max_qubit() >= len(qubits):
-                    raise ConfigError(f"head {name!r}: readout {obs} exceeds sub-register")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "k_theta", k_theta)
-        object.__setattr__(self, "readout", readout)
-        object.__setattr__(self, "calibration", calibration or Calibration())
+        if (self.outputs, self.size) not in _READOUTS:
+            raise ConfigError(f"head {self.name!r}: {_unsupported(self.outputs, self.size)}")
 
     @property
     def size(self) -> int:
@@ -118,19 +129,17 @@ class QmtlModelConfig:
     encoder: SharedEncoderConfig
     heads: tuple
 
-    def __init__(self, encoder: SharedEncoderConfig, heads: Sequence[TaskHeadConfig]):
-        heads = tuple(heads)
+    def __post_init__(self):
+        object.__setattr__(self, "heads", tuple(self.heads))
         used = set()
-        for head in heads:
+        for head in self.heads:
             overlap = used & set(head.qubits)
             if overlap:
                 raise ConfigError(f"head {head.name!r} reuses qubits {sorted(overlap)}")
             for q in head.qubits:
-                if not 0 <= q < encoder.num_qubits:
+                if not 0 <= q < self.encoder.num_qubits:
                     raise ConfigError(f"head {head.name!r} qubit {q} out of range")
             used |= set(head.qubits)
-        object.__setattr__(self, "encoder", encoder)
-        object.__setattr__(self, "heads", heads)
 
 
 @dataclass(frozen=True)
@@ -163,65 +172,26 @@ def build_shared_encoder(cfg: SharedEncoderConfig) -> Circuit:
     return Circuit(q, ops, num_trainable=q * layers, num_inputs=cfg.feature_dim)
 
 
-def build_task_head(cfg: TaskHeadConfig) -> Circuit:
-    """Strongly-entangling block on local qubits 0..S-1: rotations + ring CNOTs."""
-    s = cfg.size
+def build_task_head(cfg: TaskHeadConfig, first_theta: int) -> list:
+    """Strongly-entangling block on the head's qubits, trainables numbered
+    from ``first_theta``: rotations + ring CNOTs."""
+    q, s = cfg.qubits, cfg.size
+    kind = "rot" if cfg.k_theta == 3 else "ry"
     ops = []
-    next_param = 0
+    next_param = first_theta
     for _ in range(cfg.layers):
-        for j in range(s):
-            if cfg.k_theta == 3:
-                ops.append(GateOp("rot", (j,), tuple(trainable(next_param + k) for k in range(3))))
-                next_param += 3
-            else:
-                ops.append(GateOp("ry", (j,), (trainable(next_param),)))
-                next_param += 1
+        for qubit in q:
+            refs = tuple(trainable(next_param + k) for k in range(cfg.k_theta))
+            ops.append(GateOp(kind, (qubit,), refs))
+            next_param += cfg.k_theta
         if s >= 2:
             # descending ring order: on two qubits the ascending order
             # collapses all but one readout to input-independent constants
             # (conjugating Z0/X0X1 through CNOT(0,1)CNOT(1,0) detaches them
             # from qubit 0), while this order keeps every readout responsive
             for j in reversed(range(s)):
-                ops.append(GateOp("cnot", (j, (j + 1) % s)))
-    return Circuit(max(s, 1), ops, num_trainable=next_param, num_inputs=0)
-
-
-_READOUTS = {
-    (1, 1): ("Z0",),
-    (3, 2): ("Z0", "Z1", "X0*X1"),
-    (9, 4): ("Z0", "Z1", "Z2", "Z3",
-             "Z0*Z1", "Z1*Z2", "Z2*Z3", "Z3*Z0",
-             "X0*X1*X2*X3"),
-}
-
-
-def default_readout(outputs: int, size: int) -> tuple:
-    """Readout sets the architecture enumerates for (r, S) in {(1,1),(3,2),(9,4)}."""
-    key = (outputs, size)
-    if key not in _READOUTS:
-        raise ConfigError(
-            f"no default readout for r={outputs}, S={size}; "
-            "supply a custom readout or use generic_readout()"
-        )
-    return tuple(pauli(s) for s in _READOUTS[key])
-
-
-def generic_readout(outputs: int, size: int) -> tuple:
-    """Extension rule for unenumerated (r, S): single-qubit Z, then ZZ ring,
-    then the all-X string, truncated to r."""
-    candidates = [PauliString({j: "Z"}) for j in range(size)]
-    if size == 2:
-        candidates.append(PauliString({0: "Z", 1: "Z"}))
-    elif size > 2:
-        candidates.extend(
-            PauliString({j: "Z", (j + 1) % size: "Z"}) for j in range(size)
-        )
-    candidates.append(PauliString({j: "X" for j in range(size)}))
-    if outputs > len(candidates):
-        raise ConfigError(
-            f"generic readout supports at most {len(candidates)} outputs for S={size}"
-        )
-    return tuple(candidates[:outputs])
+                ops.append(GateOp("cnot", (q[j], q[(j + 1) % s])))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -278,49 +248,28 @@ class QmtlModel:
 
 
 def assemble(config: QmtlModelConfig) -> QmtlModel:
-    """Concatenate encoder and head fragments into one global circuit."""
+    """The global circuit and parameter layout: encoder angles, then each
+    head's angles in declaration order, then each head's calibration scalars."""
     encoder = build_shared_encoder(config.encoder)
     ops = list(encoder.ops)
-    next_theta = encoder.num_trainable
+    num_circuit = encoder.num_trainable + sum(h.num_trainable for h in config.heads)
+    theta, logit, calib = encoder.num_trainable, 0, num_circuit
     heads = []
-    logit_offset = 0
-
-    head_specs = []
-    for head_cfg in config.heads:
-        fragment = build_task_head(head_cfg)
-        mapping = head_cfg.qubits
-        for op in fragment.ops:
-            qubits = tuple(mapping[q] for q in op.qubits)
-            params = tuple(
-                trainable(next_theta + ref.index) if ref.kind == "theta" else ref
-                for ref in op.params
-            )
-            ops.append(GateOp(op.kind, qubits, params))
-        readout = head_cfg.readout or default_readout(head_cfg.outputs, head_cfg.size)
-        observables = tuple(obs.remap(mapping) for obs in readout)
-        head_specs.append(
-            (head_cfg, observables,
-             slice(logit_offset, logit_offset + head_cfg.outputs),
-             slice(next_theta, next_theta + fragment.num_trainable))
-        )
-        next_theta += fragment.num_trainable
-        logit_offset += head_cfg.outputs
-
-    num_circuit = next_theta
-    calib_offset = num_circuit
-    for head_cfg, observables, logit_slice, theta_slice in head_specs:
-        n = head_cfg.calibration.num_params(head_cfg.outputs)
-        heads.append(
-            AssembledHead(
-                name=head_cfg.name,
-                observables=observables,
-                logit_slice=logit_slice,
-                calibration=head_cfg.calibration,
-                calib_slice=slice(calib_offset, calib_offset + n),
-                theta_slice=theta_slice,
-            )
-        )
-        calib_offset += n
+    for cfg in config.heads:
+        ops += build_task_head(cfg, theta)
+        n_calib = cfg.calibration.num_params(cfg.outputs)
+        heads.append(AssembledHead(
+            name=cfg.name,
+            observables=tuple(obs.remap(cfg.qubits)
+                              for obs in default_readout(cfg.outputs, cfg.size)),
+            logit_slice=slice(logit, logit + cfg.outputs),
+            calibration=cfg.calibration,
+            calib_slice=slice(calib, calib + n_calib),
+            theta_slice=slice(theta, theta + cfg.num_trainable),
+        ))
+        theta += cfg.num_trainable
+        logit += cfg.outputs
+        calib += n_calib
 
     circuit = Circuit(
         config.encoder.num_qubits, ops,
@@ -331,7 +280,7 @@ def assemble(config: QmtlModelConfig) -> QmtlModel:
         circuit=circuit,
         heads=tuple(heads),
         num_circuit_params=num_circuit,
-        num_calibration_params=calib_offset - num_circuit,
+        num_calibration_params=calib - num_circuit,
     )
 
 

@@ -153,7 +153,10 @@ def monitored_value(report: dict, task_specs: Sequence[TaskSpec]) -> float:
     return float(np.mean([report[s.name][s.metrics[0]] for s in task_specs]))
 
 
-def _resolve_class_weights(specs: Sequence[TaskSpec], data: MultiTaskBatch) -> list:
+def resolve_class_weights(specs: Sequence[TaskSpec], data: MultiTaskBatch) -> list:
+    """``specs`` with each focal multiclass task's missing class weights set
+    from the label counts of ``data``, the training split; a spec that has
+    its weights already is kept as it is."""
     resolved = []
     for spec in specs:
         if spec.loss == "focal" and spec.class_weights is None and spec.kind == "multiclass":
@@ -182,7 +185,7 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
     """
     if train_data.num_samples == 0:
         raise ConfigError("empty training set")
-    task_specs = _resolve_class_weights(list(task_specs), train_data)
+    task_specs = resolve_class_weights(list(task_specs), train_data)
 
     if cfg.protocol == "parallel":
         for spec in task_specs:
@@ -249,8 +252,10 @@ def train(head_model, train_data: MultiTaskBatch, val_data: MultiTaskBatch,
             sub = train_data.subset(batch_idx)
             tick = time.perf_counter()
             try:
-                value, grad = loss_gradient(head_model, params, sub.features,
-                                            sub.labels, specs_j)
+                # a diverging step overflows; the check below reports it
+                with np.errstate(all="ignore"):
+                    value, grad = loss_gradient(head_model, params, sub.features,
+                                                sub.labels, specs_j)
             except DegenerateBatchError:
                 continue
             finally:

@@ -193,6 +193,41 @@ def test_sweep_noise_zero_matches_noiseless(tiny_config, tmp_path):
             trained[name]["loss"], abs=1e-12)
 
 
+# a focal multiclass head: training weights its loss by the classes of the
+# training split
+FOCAL_CONFIG = dict(
+    TINY_CONFIG,
+    encoder={"qubits": 3, "layers": 2},
+    heads=[TINY_CONFIG["heads"][0],
+           {"name": "w", "qubits": [1, 2], "outputs": 3, "kind": "multiclass",
+            "num_classes": 3, "loss": "focal"}],
+    data=dict(TINY_CONFIG["data"], feature_dim=6),
+)
+
+
+def test_every_report_scores_the_training_loss(tmp_path, capsys):
+    path = tmp_path / "focal.json"
+    path.write_text(json.dumps(FOCAL_CONFIG))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out-dir", str(run)]) == 0
+    report = json.loads((run / "report.json").read_text())
+    history = [json.loads(line) for line in (run / "history.jsonl").read_text().splitlines()]
+    best = next(record for record in history if record["monitor"] == report["monitor"])
+    assert report["tasks"] == best["tasks"]
+
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == report["tasks"]
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "noise", "--config", str(path), "--grid", "0",
+                 "--checkpoint", str(run / "checkpoint.json"), "--out-dir", str(out)]) == 0
+    with open(out / "sweep_noise.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    for name, entry in report["tasks"].items():
+        assert float(row[f"{name}.loss"]) == entry["loss"]
+
+
 def test_unknown_train_key_rejected(tmp_path, capsys):
     cfg = json.loads(json.dumps(TINY_CONFIG))
     cfg["train"]["learning_rate"] = 0.1
@@ -397,6 +432,16 @@ _BAD_SHAPES = {
     "scaling": (lambda cfg: cfg.update(scaling={}), "task_counts"),
     "task_counts": (lambda cfg: cfg.update(scaling=dict(
         get_preset("theorem1")["scaling"], task_counts=3)), "task_counts"),
+    # a JSON boolean is no integer or number, though Python's bool is an int
+    "outputs-bool": (lambda cfg: cfg["heads"][0].update(outputs=True), "'outputs' must be"),
+    "encoder-qubits-bool": (lambda cfg: cfg["encoder"].update(qubits=True), "'qubits' must be"),
+    "lambda-bool": (lambda cfg: cfg["heads"][0].update({"lambda": True}), "'lambda' must be"),
+    "n_train-bool": (lambda cfg: cfg["data"].update(n_train=True), "'n_train' must be"),
+    "head-qubit-str": (lambda cfg: cfg["heads"][0].update(qubits=["a"]), "not an integer"),
+    "head-qubit-float": (lambda cfg: cfg["heads"][0].update(qubits=[0.5]), "not an integer"),
+    # refused by `params` too, not only once `train` builds the circuit
+    "head-shape": (lambda cfg: cfg["heads"][0].update(outputs=2),
+                   "supported (r, S): (1, 1), (3, 2), (9, 4)"),
 }
 
 
@@ -453,7 +498,7 @@ def test_eval_report_records_noise_engine(checkpoint, tmp_path, monkeypatch, fla
     assert report["noise"]["engine"] == chosen
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_training_fails_cleanly(tmp_path, capsys):
     config = get_preset("toy")
     config["train"].update(lr=1e3, epochs=2)

@@ -19,7 +19,6 @@ from qmtl.model import (
     default_readout,
     forward,
     forward_batch,
-    generic_readout,
     scaling_table,
 )
 from qmtl.statevector import pauli
@@ -64,14 +63,16 @@ def test_encoder_entangling_flag():
 
 
 def test_head_ring_entangler():
-    two = build_task_head(TaskHeadConfig("t", (0, 1), 3))
-    assert sum(op.kind == "cnot" for op in two.ops) == 2
-    one = build_task_head(TaskHeadConfig("t", (0,), 1))
-    assert sum(op.kind == "cnot" for op in one.ops) == 0
-    assert one.num_trainable == 3  # one Rot
-    ry_head = build_task_head(TaskHeadConfig("t", (0, 1), 3, k_theta=1))
-    assert ry_head.num_trainable == 2
-    assert all(op.kind in ("ry", "cnot") for op in ry_head.ops)
+    two = build_task_head(TaskHeadConfig("t", (5, 7), 3), 0)
+    assert sum(op.kind == "cnot" for op in two) == 2
+    assert [op.qubits for op in two if op.kind == "cnot"] == [(7, 5), (5, 7)]
+    one = build_task_head(TaskHeadConfig("t", (2,), 1), 4)
+    assert sum(op.kind == "cnot" for op in one) == 0
+    assert [op.qubits for op in one] == [(2,)]
+    assert [ref.index for ref in one[0].params] == [4, 5, 6]  # one Rot from first_theta
+    ry_head = build_task_head(TaskHeadConfig("t", (0, 1), 3, k_theta=1), 0)
+    assert sum(len(op.params) for op in ry_head) == 2
+    assert all(op.kind in ("ry", "cnot") for op in ry_head)
 
 
 def test_param_budgets_match_closed_form():
@@ -95,15 +96,6 @@ def test_default_readouts():
         default_readout(5, 2)
 
 
-def test_generic_readout():
-    obs = generic_readout(4, 3)
-    assert len(obs) == 4
-    assert all(o.max_qubit() < 3 for o in obs)
-    assert len(generic_readout(2, 1)) == 2 or True  # size-1 register stays local
-    for o in generic_readout(2, 1):
-        assert o.max_qubit() == 0
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         QmtlModelConfig(
@@ -116,6 +108,13 @@ def test_config_validation():
         TaskHeadConfig("a", (0,), 1, k_theta=2)
     with pytest.raises(ConfigError):
         TaskHeadConfig("a", (), 1)
+    for qubits in (("a",), (0.5,), (True,)):
+        with pytest.raises(ConfigError, match="not an integer"):
+            TaskHeadConfig("a", qubits, 1)
+    # a head shape with no readout is refused when the config is built
+    for outputs, qubits in ((2, (0,)), (1, (0, 1)), (3, (0, 1, 2)), (0, (0,))):
+        with pytest.raises(ConfigError, match=r"supported \(r, S\): \(1, 1\), \(3, 2\)"):
+            TaskHeadConfig("a", qubits, outputs)
 
 
 def test_assemble_layout():

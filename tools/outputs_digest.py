@@ -3,7 +3,9 @@ checkouts for bit-identical results on one machine.  No golden values are
 stored: run ``PYTHONPATH=src python tools/outputs_digest.py`` in both and
 diff the outputs.
 
-Items: per head variant and preset, the initial parameters at seeds 0 and 3,
+Items: per circuit preset, the assembled QMTL circuit (every op's kind,
+qubits and parameter refs) and each head's slices and observables; per head
+variant and preset, the initial parameters at seeds 0 and 3,
 ``forward_batch``, ``loss_gradient`` and ``backward_batch`` (all tasks, and
 the first alone) on 16 training rows; per variant a 3-epoch toy training run;
 and ``cli.eval_logits`` on 8 toy rows exact, with 4096 shots and with
@@ -17,6 +19,7 @@ import numpy as np
 from qmtl import cli
 from qmtl.data import gen_synthetic
 from qmtl.gradients import loss_gradient
+from qmtl.model import assemble
 from qmtl.noise import NoiseSpec
 from qmtl.presets import get_preset
 from qmtl.trainer import train
@@ -30,7 +33,9 @@ HISTORY_KEYS = ("step", "epoch", "lr", "train_loss", "monitor", "grad_norm",
 
 def digest(value, h=None) -> str:
     h = h or hashlib.sha256()
-    if isinstance(value, dict):
+    if isinstance(value, str):
+        h.update(value.encode())
+    elif isinstance(value, dict):
         for key in sorted(value):
             h.update(str(key).encode())
             digest(value[key], h)
@@ -49,7 +54,22 @@ def setup(preset: str, variant: str):
     return config, specs, cli.head_model_from(config, specs), train_data, val_data
 
 
+def span(part: slice) -> list:
+    return [part.start, part.stop]
+
+
 items = {}
+for preset in ("toy", "glue-like", "chexpert-like", "mustard-like"):
+    model = assemble(cli.model_config_from(get_preset(preset)))
+    items[f"circuit/{preset}"] = [
+        [model.circuit.num_qubits, model.num_circuit_params, model.num_calibration_params],
+        [[op.kind, op.qubits, [[ref.kind, ref.index, ref.value] for ref in op.params]]
+         for op in model.circuit.ops],
+        [[head.name, span(head.theta_slice), span(head.logit_slice), span(head.calib_slice),
+          head.calibration.kind, [str(obs) for obs in head.observables]]
+         for head in model.heads],
+    ]
+
 for preset in ("toy", "glue-like", "chexpert-like"):
     for variant in VARIANTS:
         config, specs, model, train_data, _ = setup(preset, variant)
