@@ -11,8 +11,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .model import (
     QmtlModelConfig,
     SharedEncoderConfig,
     TaskHeadConfig,
-    count_params_classical,
     count_params_quantum,
     forward,
     logits_from_raw,
@@ -101,149 +101,161 @@ def _optional(section: dict, key: str, default, where: str = "config", kind=obje
     return _require(section, key, where, kind)
 
 
-def _feature_dim(config: dict) -> int:
-    return _require(_require(config, "data"), "feature_dim", "data", int)
+# every key each section accepts: key -> (default, type), REQUIRED for a key
+# without a default; a key outside its section's table is refused
+REQUIRED = object()
+_TOP_KEYS = {"variant": ("qmtl", str), "encoder": (None, dict), "heads": (REQUIRED, list),
+             "data": (REQUIRED, dict), "train": ({}, dict), "hqnn": ({}, dict),
+             "scaling": (None, dict)}
+_ENCODER_KEYS = {"qubits": (REQUIRED, int), "layers": (REQUIRED, int),
+                 "entangling": (True, bool)}
+_HEAD_KEYS = {
+    "name": (REQUIRED, str), "kind": ("binary", str), "num_classes": (2, int),
+    "lambda": (1.0, NUMBER), "metrics": (("accuracy",), list), "loss": ("default", str),
+    "focal_gamma": (2.0, NUMBER), "focal_alpha": (1.0, NUMBER), "eval_binarize": (False, bool),
+    # the circuit head, read for the qmtl variant; `outputs` defaults to the
+    # task's logit count and must equal it when given
+    "qubits": (None, list), "outputs": (None, int), "layers": (1, int), "k_theta": (3, int),
+    "calibration": ("none", str),
+}
+_DATA_KEYS = {"feature_dim": (REQUIRED, int), "n_train": (None, int), "n_val": (None, int),
+              "teacher_seed": (0, int), "noise_level": (0.0, NUMBER)}
+_HQNN_KEYS = {"qubits": (HQNN_QUBITS, int)}
+# TrainConfig checks its own values
+_TRAIN_KEYS = {f.name: (f.default, object) for f in fields(TrainConfig)}
 
 
-def _heads(config: dict) -> list:
-    """The config's head entries, at least one, each checked to be an object
-    with a name."""
-    heads = _require(config, "heads", kind=list)
-    if not heads:
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment config, read and checked once; every command takes one."""
+
+    raw: dict                         # the JSON as given, stored in checkpoints and reports
+    variant: str
+    specs: tuple                      # of TaskSpec, one per head
+    feature_dim: int
+    model: Optional[QmtlModelConfig]  # None for the classical and hqnn baselines
+    data: Optional[SyntheticSpec]     # None without data sizes, as `params` allows
+    train: TrainConfig
+    hqnn_qubits: int
+
+    def head_model(self, variant=None):
+        """The head model of ``variant``, by default the configured one."""
+        variant = variant or self.variant
+        if variant == "qmtl":
+            return QmtlHeadModel(self.model)
+        outputs, names = [s.num_logits for s in self.specs], [s.name for s in self.specs]
+        if variant == "classical":
+            return ClassicalHeadModel(self.feature_dim, outputs, names)
+        return HqnnHeadModel(self.feature_dim, self.hqnn_qubits, outputs, names)
+
+    def datasets(self) -> tuple:
+        """(specs, train, val): the config's data, and the specs with focal
+        class weights resolved from the training split as ``train`` resolves
+        them, so every report scores the loss that training minimizes."""
+        if self.data is None:
+            raise ConfigError("data needs 'n_train' and 'n_val' to build datasets")
+        train_data, val_data = gen_synthetic(self.data)
+        return resolve_class_weights(self.specs, train_data), train_data, val_data
+
+    def budget(self) -> dict:
+        """Parameter counts of the baseline heads, and of the quantum circuit
+        for the qmtl variant; every report holds them."""
+        out = {variant: self.head_model(variant).num_params for variant in ("classical", "hqnn")}
+        if self.model is not None:
+            budget = count_params_quantum(self.model)
+            out["quantum"] = {
+                "shared": budget.shared,
+                "per_head": {s.name: n for s, n in zip(self.specs, budget.per_head)},
+                "total": budget.total,
+            }
+        return out
+
+
+def parse_experiment(config: dict) -> Experiment:
+    """``config`` read into an ``Experiment``, or a ConfigError naming the
+    first unknown key, missing key, wrong type or value that breaks a rule,
+    so that every command refuses the same configs."""
+
+    def read(section, where: str, table: dict) -> dict:
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where} must be an object, got {section!r}")
+        unknown = sorted(set(section) - set(table))
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {unknown}")
+        return {key: _require(section, key, where, kind) if default is REQUIRED
+                else _optional(section, key, default, where, kind)
+                for key, (default, kind) in table.items()}
+
+    top = read(config, "config", _TOP_KEYS)
+    variant = top["variant"]
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown head variant {variant!r}; expected one of {VARIANTS}")
+    if not top["heads"]:
         raise ConfigError("config 'heads' must list at least one head")
-    for i, h in enumerate(heads):
-        if not isinstance(h, dict) or "name" not in h:
-            raise ConfigError(f"head {i} has no 'name'")
-    return heads
-
-
-def model_config_from(config: dict) -> QmtlModelConfig:
-    enc = _require(config, "encoder")
-    encoder = SharedEncoderConfig(
-        num_qubits=_require(enc, "qubits", "encoder", int),
-        layers=_require(enc, "layers", "encoder", int),
-        entangling=_optional(enc, "entangling", True, "encoder", bool),
-    )
-    feature_dim = _feature_dim(config)
-    if feature_dim != encoder.feature_dim:
-        raise ConfigError(
-            f"data.feature_dim is {feature_dim}, but the encoder consumes "
-            f"qubits * layers = {encoder.feature_dim} features"
+    specs, heads = [], []
+    for i, entry in enumerate(top["heads"]):
+        h = read(entry, f"head {i}", _HEAD_KEYS)
+        spec = TaskSpec(
+            name=h["name"], kind=h["kind"], num_classes=h["num_classes"],
+            lambda_weight=h["lambda"], metrics=tuple(h["metrics"]), loss=h["loss"],
+            focal_gamma=h["focal_gamma"], focal_alpha=h["focal_alpha"],
+            eval_binarize=h["eval_binarize"],
         )
-    heads = []
-    for i, h in enumerate(_heads(config)):
-        heads.append(TaskHeadConfig(
-            name=h["name"],
-            qubits=_require(h, "qubits", f"head {i}", list),
-            outputs=_require(h, "outputs", f"head {i}", int),
-            layers=_optional(h, "layers", 1, f"head {i}", int),
-            k_theta=_optional(h, "k_theta", 3, f"head {i}", int),
-            calibration=Calibration(kind=_optional(h, "calibration", "none", f"head {i}", str)),
-        ))
-    return QmtlModelConfig(encoder, heads)
+        outputs = spec.num_logits if h["outputs"] is None else h["outputs"]
+        if variant == "qmtl":
+            heads.append(TaskHeadConfig(
+                name=spec.name, qubits=_require(entry, "qubits", f"head {i}", list),
+                outputs=outputs, layers=h["layers"], k_theta=h["k_theta"],
+                calibration=Calibration(kind=h["calibration"]),
+            ))
+        if outputs != spec.num_logits:
+            raise ConfigError(f"head {spec.name!r} has {outputs} outputs, but its "
+                              f"{spec.kind} task has {spec.num_logits} logits")
+        specs.append(spec)
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"head names must be unique, got {names}")
+
+    d = read(top["data"], "data", _DATA_KEYS)
+    # checked with or without the data sizes
+    data = SyntheticSpec(tasks=specs, **{k: 1 if v is None else v for k, v in d.items()})
+    model = None
+    # an encoder is checked whenever given, and the qmtl variant needs one
+    if variant == "qmtl" or top["encoder"] is not None:
+        e = read(_require(config, "encoder"), "encoder", _ENCODER_KEYS)
+        encoder = SharedEncoderConfig(e["qubits"], e["layers"], e["entangling"])
+        if d["feature_dim"] != encoder.feature_dim:
+            raise ConfigError(f"data.feature_dim is {d['feature_dim']}, but the encoder "
+                              f"consumes qubits * layers = {encoder.feature_dim} features")
+        if variant == "qmtl":
+            model = QmtlModelConfig(encoder, heads)
+    exp = Experiment(
+        raw=config, variant=variant, specs=tuple(specs), feature_dim=d["feature_dim"],
+        model=model, data=None if None in (d["n_train"], d["n_val"]) else data,
+        train=TrainConfig(**read(top["train"], "train", _TRAIN_KEYS)),
+        hqnn_qubits=read(top["hqnn"], "hqnn", _HQNN_KEYS)["qubits"],
+    )
+    exp.budget()  # every report holds it, so a config it cannot count is refused here
+    return exp
 
 
+# kept for callers outside the CLI (the benchmark, tools and tests); the
+# tasks come from ``config``, and ``specs`` is accepted as before
 def task_specs_from(config: dict) -> list:
-    specs = []
-    for i, h in enumerate(_heads(config)):
-        where = f"head {i}"
-        specs.append(TaskSpec(
-            name=h["name"],
-            kind=_optional(h, "kind", "binary", where, str),
-            num_classes=_optional(h, "num_classes", 2, where, int),
-            lambda_weight=_optional(h, "lambda", 1.0, where, NUMBER),
-            metrics=tuple(_optional(h, "metrics", ["accuracy"], where, list)),
-            loss=_optional(h, "loss", "default", where, str),
-            focal_gamma=_optional(h, "focal_gamma", 2.0, where, NUMBER),
-            focal_alpha=_optional(h, "focal_alpha", 1.0, where, NUMBER),
-            eval_binarize=_optional(h, "eval_binarize", False, where, bool),
-        ))
-    return specs
-
-
-def _data_options(config: dict) -> dict:
-    d = _require(config, "data")
-    return {"teacher_seed": _optional(d, "teacher_seed", 0, "data", int),
-            "noise_level": _optional(d, "noise_level", 0.0, "data", NUMBER)}
+    return list(parse_experiment(config).specs)
 
 
 def data_spec_from(config: dict, specs) -> SyntheticSpec:
-    d = _require(config, "data")
-    return SyntheticSpec(
-        feature_dim=_feature_dim(config),
-        tasks=specs,
-        n_train=_require(d, "n_train", "data", int),
-        n_val=_require(d, "n_val", "data", int),
-        **_data_options(config),
-    )
-
-
-def _datasets(config: dict, specs) -> tuple:
-    """(specs, train, val): the config's data, and ``specs`` with focal class
-    weights resolved from the training split as ``train`` resolves them, so
-    every report scores the loss that training minimizes."""
-    train_data, val_data = gen_synthetic(data_spec_from(config, specs))
-    return resolve_class_weights(specs, train_data), train_data, val_data
-
-
-def _train_section(config: dict) -> dict:
-    return _optional(config, "train", {}, kind=dict)
+    return parse_experiment(config).data
 
 
 def train_config_from(config: dict, seed_override=None) -> TrainConfig:
-    t = dict(_train_section(config))
-    if seed_override is not None:
-        t["seed"] = seed_override
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    unknown = set(t) - known
-    if unknown:
-        raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-    return TrainConfig(**t)
-
-
-def _hqnn_qubits(config: dict) -> int:
-    hqnn = _optional(config, "hqnn", {}, kind=dict)
-    return _optional(hqnn, "qubits", HQNN_QUBITS, "hqnn", int)
-
-
-def _variant(config: dict) -> str:
-    variant = _optional(config, "variant", "qmtl", kind=str)
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown head variant {variant!r}; expected one of {VARIANTS}")
-    return variant
+    train_cfg = parse_experiment(config).train
+    return train_cfg if seed_override is None else replace(train_cfg, seed=seed_override)
 
 
 def head_model_from(config: dict, specs):
-    variant = _variant(config)
-    names = [s.name for s in specs]
-    outputs = [s.num_logits for s in specs]
-    # read for every variant, as every report holds the HQNN budget
-    hqnn_qubits = _hqnn_qubits(config)
-    if variant == "qmtl":
-        return QmtlHeadModel(model_config_from(config))
-    feature_dim = _feature_dim(config)
-    if variant == "classical":
-        return ClassicalHeadModel(feature_dim, outputs, names)
-    return HqnnHeadModel(feature_dim, hqnn_qubits, outputs, names)
-
-
-def budget_dict(config: dict, specs) -> dict:
-    """Quantum/classical/HQNN parameter counts for the configured shape."""
-    feature_dim = _feature_dim(config)
-    outputs = [s.num_logits for s in specs]
-    names = [s.name for s in specs]
-    out = {
-        "classical": count_params_classical(feature_dim, outputs),
-        "hqnn": HqnnHeadModel(feature_dim, _hqnn_qubits(config), outputs, names).num_params,
-    }
-    if _variant(config) == "qmtl":
-        budget = count_params_quantum(model_config_from(config))
-        out["quantum"] = {
-            "shared": budget.shared,
-            "per_head": dict(zip(names, budget.per_head)),
-            "total": budget.total,
-        }
-    return out
+    return parse_experiment(config).head_model()
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +300,20 @@ def read_checkpoint(path: Path) -> dict:
     return payload
 
 
-def checkpoint_model(checkpoint: dict, config: dict, specs) -> tuple:
-    """The head model ``config`` builds and the checkpoint's parameters for
-    it, or a ConfigError when the two sizes differ."""
-    head_model = head_model_from(config, specs)
+def checkpoint_model(checkpoint: dict, exp: Experiment) -> tuple:
+    """The head model ``exp`` builds and the checkpoint's parameters for it,
+    or a ConfigError when the two sizes differ."""
+    head_model = exp.head_model()
     if head_model.num_params != checkpoint["num_params"]:
-        raise ConfigError(
-            f"checkpoint/config mismatch: checkpoint has {checkpoint['num_params']} "
-            f"parameters, config builds {head_model.num_params}"
-        )
+        raise ConfigError(f"checkpoint/config mismatch: checkpoint has {checkpoint['num_params']} "
+                          f"parameters, config builds {head_model.num_params}")
     return head_model, np.array(checkpoint["params"], dtype=float)
 
 
-def run_report(config: dict, report: dict, specs, seed: int, extra=None) -> dict:
+def run_report(exp: Experiment, report: dict, seed: int, extra=None) -> dict:
     out = {
-        "config": config,
-        "budget": budget_dict(config, specs),
+        "config": exp.raw,
+        "budget": exp.budget(),
         "tasks": report,
         "seed": seed,
         "versions": {"qmtl": __version__, "numpy": np.__version__},
@@ -371,14 +381,9 @@ def cmd_params(args) -> int:
             print(f"{row['T']}\t{row['d']}\t{row['P_C']}\t{row['P_Q']}"
                   f"\t{row['ratio']:.8f}\t{row['ratio'] * row['T']:.8f}")
         return 0
-    specs = task_specs_from(config)
-    # the counts need no data sizes or train section, but a bad value in
-    # either is refused here as `train` refuses it
-    _data_options(config)
-    for key in ("n_train", "n_val"):
-        _optional(config["data"], key, None, "data", int)
-    train_config_from(config)
-    budget = budget_dict(config, specs)
+    # the counts need no data sizes or train section, but the parser refuses
+    # a bad value in either, as it does for `train`
+    budget = parse_experiment(config).budget()
     if "quantum" in budget:
         q = budget["quantum"]
         print(f"P_shared {q['shared']}")
@@ -435,24 +440,24 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args)
-    seed = args.seed if args.seed is not None else _train_section(config).get("seed", 0)
-    specs, report, result = _train_and_eval(config, seed)
+    exp = parse_experiment(load_config(args))
+    seed = args.seed if args.seed is not None else exp.train.seed
+    report, result = _train_and_eval(exp, seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "history.jsonl", "w") as fh:
         for record in result.history:
             fh.write(json.dumps(record) + "\n")
-    write_checkpoint(out_dir / "checkpoint.json", config, result.best_params, seed)
-    summary = run_report(config, report, specs, seed, extra={
+    write_checkpoint(out_dir / "checkpoint.json", exp.raw, result.best_params, seed)
+    summary = run_report(exp, report, seed, extra={
         "history": "history.jsonl",
         "epochs_run": result.epochs_run,
         "monitor": result.best_value,
     })
     (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    print(f"trained {_variant(config)} head for {result.epochs_run} epochs "
+    print(f"trained {exp.variant} head for {result.epochs_run} epochs "
           f"(monitor {result.best_value:.4f})")
     _print_task_table(report)
     print(f"artifacts in {out_dir}")
@@ -474,13 +479,12 @@ def cmd_eval(args) -> int:
     if args.seed is not None:
         _nonnegative_seeds([args.seed], "--seed")
     checkpoint = read_checkpoint(Path(args.checkpoint))
-    config = checkpoint["config"] if args.config is None and args.preset is None \
-        else load_config(args)
-    specs = task_specs_from(config)
+    exp = parse_experiment(checkpoint["config"] if args.config is None and args.preset is None
+                           else load_config(args))
     seed = args.seed if args.seed is not None else checkpoint["seed"]
     noise = _noise_spec(args.p1, args.p2, args.trajectories, seed)
-    head_model, params = checkpoint_model(checkpoint, config, specs)
-    specs, _, val_data = _datasets(config, specs)
+    head_model, params = checkpoint_model(checkpoint, exp)
+    specs, _, val_data = exp.datasets()
     logits = eval_logits(head_model, params, val_data.features,
                          shots=args.shots, noise=noise,
                          seed=seed)
@@ -488,7 +492,7 @@ def cmd_eval(args) -> int:
     noise_engine = None
     if noise is not None and isinstance(head_model, QmtlHeadModel):
         noise_engine = engine(head_model.model.circuit.num_qubits)
-    summary = run_report(config, report, specs, seed, extra={
+    summary = run_report(exp, report, seed, extra={
         "checkpoint": str(args.checkpoint),
         "shots": args.shots,
         "noise": {"p1": args.p1, "p2": args.p2, "trajectories": args.trajectories,
@@ -548,9 +552,9 @@ def _metric_cells(report: dict, specs) -> dict:
     return cells
 
 
-def _budget_cells(config: dict, specs) -> dict:
+def _budget_cells(exp: Experiment) -> dict:
     """The P_C cell of a sweep row, and P_shared and P_Q for the qmtl variant."""
-    budget = budget_dict(config, specs)
+    budget = exp.budget()
     cells = {"P_C": budget["classical"]}
     if "quantum" in budget:
         cells["P_shared"] = budget["quantum"]["shared"]
@@ -559,35 +563,32 @@ def _budget_cells(config: dict, specs) -> dict:
 
 
 def _rebuild_config(config: dict, *, layers=None, head_layers=None, entangling=None):
+    """``config`` with the swept values set; every row reports its encoder."""
     out = json.loads(json.dumps(config))
+    encoder = _require(out, "encoder")
     if layers is not None:
-        encoder = _require(out, "encoder")
         encoder["layers"] = layers
         # capacity matching: the encoder consumes exactly Q*L features
-        _require(out, "data")["feature_dim"] = _require(encoder, "qubits", "encoder") * layers
+        out["data"]["feature_dim"] = encoder["qubits"] * layers
     if head_layers is not None:
         for h in out["heads"]:
             h["layers"] = head_layers
     if entangling is not None:
-        _require(out, "encoder")["entangling"] = entangling
+        encoder["entangling"] = entangling
     return out
 
 
-def _train_and_eval(config: dict, seed: int):
-    specs = task_specs_from(config)
-    cfg = train_config_from(config, seed_override=seed)
-    specs, train_data, val_data = _datasets(config, specs)
-    head_model = head_model_from(config, specs)
-    result = train(head_model, train_data, val_data, specs, cfg)
-    report = evaluate(head_model, result.best_params, val_data, specs)
-    return specs, report, result
+def _train_and_eval(exp: Experiment, seed: int):
+    specs, train_data, val_data = exp.datasets()
+    head_model = exp.head_model()
+    result = train(head_model, train_data, val_data, specs, replace(exp.train, seed=seed))
+    return evaluate(head_model, result.best_params, val_data, specs), result
 
 
 def cmd_sweep(args) -> int:
     if args.kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {args.kind!r}; expected one of {SWEEP_KINDS}")
-    base = load_config(args)
-    base_specs = task_specs_from(base)
+    base = parse_experiment(load_config(args))
     seeds = _nonnegative_seeds(_parse_int_list(args.seeds), "--seeds")
     if args.seed is not None:
         seeds = _nonnegative_seeds([args.seed], "--seed")
@@ -598,17 +599,16 @@ def cmd_sweep(args) -> int:
         # checked before any training; each seed gets its own noise stream
         noises = [_noise_spec(p, p, args.trajectories, 0) for p in grid]
         checkpoint = None if args.checkpoint is None else read_checkpoint(Path(args.checkpoint))
-        config = base if checkpoint is None else checkpoint["config"]
-        specs = task_specs_from(config)
+        exp = base if checkpoint is None else parse_experiment(checkpoint["config"])
         if checkpoint is None:
-            head_model = head_model_from(config, specs)
+            head_model = exp.head_model()
         else:
-            head_model, params = checkpoint_model(checkpoint, config, specs)
-        specs, train_data, val_data = _datasets(config, specs)
-        cells = _budget_cells(config, specs)
+            head_model, params = checkpoint_model(checkpoint, exp)
+        specs, train_data, val_data = exp.datasets()
+        cells = _budget_cells(exp)
         for seed in seeds:
             if checkpoint is None:
-                cfg = train_config_from(config, seed_override=seed)
+                cfg = replace(exp.train, seed=seed)
                 params = train(head_model, train_data, val_data, specs, cfg).best_params
             for p, noise in zip(grid, noises):
                 if noise is not None:
@@ -621,31 +621,28 @@ def cmd_sweep(args) -> int:
     else:
         if args.kind == "depth-L":
             grid = _parse_int_list(args.grid) if args.grid else [2, 3, 4]
-            configs = [_rebuild_config(base, layers=L) for L in grid]
+            configs = [_rebuild_config(base.raw, layers=L) for L in grid]
         elif args.kind == "depth-Lh":
             grid = _parse_int_list(args.grid) if args.grid else [1, 2]
-            configs = [_rebuild_config(base, head_layers=Lh) for Lh in grid]
+            configs = [_rebuild_config(base.raw, head_layers=Lh) for Lh in grid]
         else:
-            configs = [_rebuild_config(base, entangling=flag) for flag in (True, False)]
+            configs = [_rebuild_config(base.raw, entangling=flag) for flag in (True, False)]
         if not configs:
             raise ConfigError("empty sweep grid")
-        for config in configs:
-            specs = task_specs_from(config)
-            encoder = _require(config, "encoder")
-            # the cells that do not depend on the seed, read before any training
-            cells = {"kind": args.kind,
-                     "L": _require(encoder, "layers", "encoder"),
-                     "L_h": config["heads"][0].get("layers", 1),
-                     "entangling": _optional(encoder, "entangling", True, "encoder"),
-                     **_budget_cells(config, specs)}
+        # every grid point is parsed, and so checked, before any training
+        for exp in [parse_experiment(config) for config in configs]:
+            encoder = exp.raw["encoder"]
+            cells = {"kind": args.kind, "L": encoder["layers"],
+                     "L_h": exp.raw["heads"][0].get("layers", 1),
+                     "entangling": encoder.get("entangling", True), **_budget_cells(exp)}
             for seed in seeds:
-                _, report, _ = _train_and_eval(config, seed)
-                rows.append({"seed": seed, **cells, **_metric_cells(report, specs)})
+                report, _ = _train_and_eval(exp, seed)
+                rows.append({"seed": seed, **cells, **_metric_cells(report, exp.specs)})
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"sweep_{args.kind}.csv"
-    columns = _sweep_columns(base_specs)
+    columns = _sweep_columns(base.specs)
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()

@@ -34,6 +34,8 @@ class SyntheticSpec:
             raise ConfigError("need at least one train and one val sample")
         if not 0.0 <= self.noise_level < 0.5:
             raise ConfigError("noise_level must be in [0, 0.5)")
+        if self.teacher_seed < 0:
+            raise ConfigError(f"teacher_seed must be >= 0, got {self.teacher_seed}")
 
 
 @dataclass

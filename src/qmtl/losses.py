@@ -36,6 +36,12 @@ class TaskSpec:
             raise ConfigError("multiclass tasks need num_classes >= 2")
         if self.lambda_weight < 0:
             raise ConfigError("lambda_weight must be >= 0")
+        if self.loss not in ("default", "focal"):
+            raise ConfigError(f"task {self.name!r}: unknown loss {self.loss!r}; "
+                              "expected 'default' or 'focal'")
+        if self.loss == "focal" and self.kind != "multiclass":
+            raise ConfigError(f"task {self.name!r}: focal loss needs a multiclass task, "
+                              f"not {self.kind!r}")
         from .metrics import METRIC_TAGS  # metrics imports MISSING from here
 
         self.metrics = tuple(self.metrics)

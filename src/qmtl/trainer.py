@@ -53,8 +53,8 @@ class TrainConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(f"train {name!r} must be {what}, got {value!r}")
-        if self.cap is not None and not isinstance(self.cap, numbers.Integral):
-            raise ConfigError(f"train 'cap' must be an integer or null, got {self.cap!r}")
+        if self.cap is not None and (not isinstance(self.cap, numbers.Integral) or self.cap < 1):
+            raise ConfigError(f"train 'cap' must be an integer >= 1 or null, got {self.cap!r}")
         if not (self.lr > 0 and self.clip_norm > 0):
             raise ConfigError("lr and clip_norm must be positive")
         for name, lowest in (("epochs", 1), ("batch_size", 1), ("eval_every", 1), ("seed", 0)):
@@ -159,7 +159,7 @@ def resolve_class_weights(specs: Sequence[TaskSpec], data: MultiTaskBatch) -> li
     its weights already is kept as it is."""
     resolved = []
     for spec in specs:
-        if spec.loss == "focal" and spec.class_weights is None and spec.kind == "multiclass":
+        if spec.loss == "focal" and spec.class_weights is None:
             labels = np.asarray(data.labels[spec.name])
             labels = labels[labels != MISSING]
             counts = np.bincount(labels.astype(int), minlength=spec.num_classes)

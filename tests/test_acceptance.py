@@ -75,10 +75,9 @@ def test_criterion_01_parameter_scaling_law():
 
 
 def _preset_counts(name):
-    from qmtl.cli import budget_dict, task_specs_from
+    from qmtl.cli import parse_experiment
 
-    config = get_preset(name)
-    budget = budget_dict(config, task_specs_from(config))
+    budget = parse_experiment(get_preset(name)).budget()
     return budget["quantum"]["total"], budget["classical"]
 
 

@@ -6,8 +6,8 @@ import pytest
 
 import qmtl.model
 import qmtl.noise
-from qmtl.cli import eval_logits, head_model_from, main, task_specs_from
-from qmtl.presets import get_preset
+from qmtl.cli import eval_logits, head_model_from, main, parse_experiment, task_specs_from
+from qmtl.presets import PRESETS, get_preset
 
 
 TINY_CONFIG = {
@@ -411,15 +411,19 @@ _BAD_TRAIN_KEYS = {
     "lr": "x",
     "epochs": 0,
     "seed": -1,
+    "cap": 0,  # trained nothing under task_sampled
+    "cap-negative": -1,  # dropped each task's last batch
 }
 
 
 @pytest.mark.parametrize("key", sorted(_BAD_TRAIN_KEYS))
 def test_bad_train_key_fails_cleanly(tmp_path, capsys, key):
+    name = key.split("-")[0]
+
     def edit(cfg):
-        cfg["train"][key] = _BAD_TRAIN_KEYS[key]
+        cfg["train"][name] = _BAD_TRAIN_KEYS[key]
     err = _fails_cleanly(_broken_config_argv(tmp_path, "train", edit), capsys)
-    assert key in err
+    assert name in err
     assert not (tmp_path / "run").exists()
 
 
@@ -456,7 +460,8 @@ def test_bad_config_shape_fails_cleanly(tmp_path, capsys, command, fault):
     assert not (tmp_path / "run").exists()
 
 
-# optional keys, read with a default when absent, given a value of the wrong type
+# optional keys, read with a default when absent, given a value of the wrong
+# type or out of range
 _BAD_OPTIONAL_KEYS = {
     "train": (lambda cfg: cfg.update(train=5), "train"),
     "hqnn": (lambda cfg: cfg.update(hqnn=5), "hqnn"),
@@ -465,6 +470,7 @@ _BAD_OPTIONAL_KEYS = {
     "layers": (lambda cfg: cfg["heads"][0].update(layers="2"), "layers"),
     "noise_level": (lambda cfg: cfg["data"].update(noise_level="0.1"), "noise_level"),
     "teacher_seed": (lambda cfg: cfg["data"].update(teacher_seed="x"), "teacher_seed"),
+    "teacher_seed-negative": (lambda cfg: cfg["data"].update(teacher_seed=-1), "teacher_seed"),
     "metrics": (lambda cfg: cfg["heads"][0].update(metrics=5), "metrics"),
     "loss": (lambda cfg: cfg["heads"][0].update(loss=5), "loss"),
     "focal_gamma": (lambda cfg: cfg["heads"][0].update(focal_gamma="x"), "focal_gamma"),
@@ -537,3 +543,72 @@ def test_baseline_train_eval_round_trip(tmp_path, capsys, variant):
     assert evaluated["tasks"] == trained["tasks"]
     assert evaluated["budget"] == trained["budget"]
     assert trained["budget"]["hqnn"] == 9 * 4 + 3 * 4 + 3 + 1 + 2 * (4 + 1)
+
+
+def _binary_head_with_three_outputs(cfg):
+    cfg["encoder"]["qubits"], cfg["data"]["feature_dim"] = 3, 6
+    cfg["heads"][1].update(qubits=[1, 2], outputs=3)
+
+
+# configs that every command refuses, each with a word of its one-line error
+_REFUSED_CONFIGS = {
+    # a head's outputs must equal its task's logit count
+    "outputs-binary": (_binary_head_with_three_outputs,
+                       "has 3 outputs, but its binary task has 1 logits"),
+    "outputs-multiclass": (lambda cfg: cfg["heads"][1].update(
+        kind="multiclass", num_classes=3, outputs=1), "its multiclass task has 3 logits"),
+    "n_train": (lambda cfg: cfg["data"].update(n_train=0), "at least one train"),
+    "noise_level": (lambda cfg: cfg["data"].update(noise_level=0.7), "noise_level"),
+    "teacher_seed": (lambda cfg: cfg["data"].update(teacher_seed=-1), "teacher_seed"),
+    "duplicate-name": (lambda cfg: cfg["heads"][1].update(name="u"), "unique"),
+    "unknown-head-key": (lambda cfg: cfg["heads"][0].update(kindd="binary"), "kindd"),
+    "cap": (lambda cfg: cfg["train"].update(cap=0), "cap"),
+    "loss": (lambda cfg: cfg["heads"][0].update(loss="nope"), "'nope'"),
+    "focal-binary": (lambda cfg: cfg["heads"][0].update(loss="focal"), "multiclass"),
+    # every report holds the HQNN count, so `train` must not fail at its report
+    "hqnn-qubits": (lambda cfg: cfg.update(hqnn={"qubits": 1}), "at least 2 qubits"),
+}
+
+
+@pytest.mark.parametrize("command", ["params", "train", "eval", "sweep"])
+@pytest.mark.parametrize("fault", sorted(_REFUSED_CONFIGS))
+def test_every_command_refuses_the_same_configs(request, tmp_path, capsys, command, fault):
+    edit, needle = _REFUSED_CONFIGS[fault]
+    out = tmp_path / "out"
+    argv = {"params": ["params"], "train": ["train", "--out-dir", str(out)],
+            "sweep": ["sweep", "entanglement", "--out-dir", str(out)]}.get(command)
+    if command == "eval":
+        checkpoint = request.getfixturevalue("checkpoint")  # trained from the intact config
+        argv = ["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out)]
+    config = _broken_config_argv(tmp_path, "params", edit)[1:]
+    err = _fails_cleanly(argv + config, capsys)
+    assert needle in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# `train` keys: test_unknown_train_key_rejected
+@pytest.mark.parametrize("section", ["config", "encoder", "head 0", "data", "hqnn"])
+def test_unknown_key_refused_in_every_section(tmp_path, capsys, section):
+    def edit(cfg):
+        cfg["hqnn"] = {}
+        {"config": cfg, "encoder": cfg["encoder"], "head 0": cfg["heads"][0],
+         "data": cfg["data"], "hqnn": cfg["hqnn"]}[section]["lamda"] = 1
+    err = _fails_cleanly(_broken_config_argv(tmp_path, "params", edit), capsys)
+    assert f"unknown {section} keys: ['lamda']" in err
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_survives_a_json_round_trip(tmp_path, capsys, name):
+    config = get_preset(name)
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(config))
+    assert main(["params", "--preset", name]) == 0
+    expected = capsys.readouterr().out
+    assert main(["params", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    if "heads" in config:
+        assert parse_experiment(json.loads(path.read_text())) == parse_experiment(config)
+        # `outputs` defaults to each task's logit count
+        for head in config["heads"]:
+            del head["outputs"]
+        assert parse_experiment(config).model == parse_experiment(get_preset(name)).model

@@ -19,7 +19,6 @@ import numpy as np
 from qmtl import cli
 from qmtl.data import gen_synthetic
 from qmtl.gradients import loss_gradient
-from qmtl.model import assemble
 from qmtl.noise import NoiseSpec
 from qmtl.presets import get_preset
 from qmtl.trainer import train
@@ -60,7 +59,8 @@ def span(part: slice) -> list:
 
 items = {}
 for preset in ("toy", "glue-like", "chexpert-like", "mustard-like"):
-    model = assemble(cli.model_config_from(get_preset(preset)))
+    config = get_preset(preset)
+    model = cli.head_model_from(config, cli.task_specs_from(config)).model
     items[f"circuit/{preset}"] = [
         [model.circuit.num_qubits, model.num_circuit_params, model.num_calibration_params],
         [[op.kind, op.qubits, [[ref.kind, ref.index, ref.value] for ref in op.params]]
