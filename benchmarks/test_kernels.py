@@ -13,9 +13,9 @@ or, to run each case once as a smoke test without timing it,
 They sit outside the test suite's ``testpaths``, so a plain ``pytest`` never
 collects or times them.  Batch sizes keep B * 2**Q at or below 2**15
 amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
-A density matrix is one row of 4**Q amplitudes, as ``noise.noisy_expectations``
-runs it.  Shot sampling draws 4096 shots of one state's 1-D amplitudes, as
-``model.forward`` does per row and commuting group.
+A density matrix is one row of 4**Q amplitudes, as the exact noise engine
+stores each feature row's.  Shot sampling draws 4096 shots of one state's
+1-D amplitudes, as ``model.forward`` does per row and commuting group.
 """
 
 import numpy as np

@@ -183,12 +183,12 @@ def _run(
 
 def bind(circuit: Circuit, theta: Sequence[float], features: np.ndarray,
          observables: Sequence[PauliString] = ()) -> tuple:
-    """Checked ``(theta, features, amps)``: the bindings and one |0...0> row
-    per row of the (B, num_inputs) feature matrix.
+    """Checked ``(theta, features)`` bindings for the (B, num_inputs) feature
+    matrix; a single row is a batch of one.
 
-    Raises IndexError for an observable on a qubit outside the register and
-    CapacityError, before allocating, if the B rows of 2**Q amplitudes exceed
-    the simulator's amplitude budget.  A single row is a batch of one.
+    Raises IndexError for an observable on a qubit outside the register.
+    The caller allocates the amplitudes with ``sv.zero_batch``, which refuses
+    a batch above the simulator's amplitude budget before allocating.
     """
     theta = np.asarray(theta, dtype=float)
     features = np.asarray(features, dtype=float)
@@ -203,18 +203,15 @@ def bind(circuit: Circuit, theta: Sequence[float], features: np.ndarray,
     for obs in observables:
         if obs.max_qubit() >= circuit.num_qubits:
             raise IndexError(f"observable {obs} out of range for Q={circuit.num_qubits}")
-    return theta, features, sv.zero_batch(circuit.num_qubits, features.shape[0])
+    return theta, features
 
 
-def evaluate(circuit: Circuit, theta: Sequence[float], features: Sequence[float]) -> np.ndarray:
-    """The 1-D amplitudes, of length 2**Q, of the circuit run from |0...0>
-    with concrete parameter bindings.
-
-    Bound as a batch of one, run as 1-D amplitudes, so every gate block is
-    one shared 2x2 matrix.
-    """
-    theta, features, amps = bind(circuit, theta, np.asarray(features, dtype=float)[None])
-    return _run(amps[0], circuit, theta, features[0])
+def evaluate(circuit: Circuit, theta: Sequence[float], features: np.ndarray) -> np.ndarray:
+    """The (B, 2**Q) amplitudes of the circuit run from |0...0> with concrete
+    parameter bindings, one row per row of the (B, num_inputs) feature
+    matrix, from one ``_run``."""
+    theta, features = bind(circuit, theta, features)
+    return _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features)
 
 
 def evaluate_expectations(
@@ -238,9 +235,10 @@ def evaluate_expectations_batch(
     override: Optional[dict] = None,
 ) -> np.ndarray:
     """Expectations for a batch of feature rows; returns (B, n_observables)."""
-    theta, features, amps = bind(circuit, theta, features, observables)
-    amps = _run(amps, circuit, theta, features, override=override)
-    out = np.empty((features.shape[0], len(observables)))
+    theta, features = bind(circuit, theta, features, observables)
+    amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
+                override=override)
+    out = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
         out[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
     return out

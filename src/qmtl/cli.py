@@ -335,30 +335,31 @@ def _print_task_table(report: dict) -> None:
 
 
 def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0):
-    """Per-task logits, optionally under shot sampling or depolarizing noise.
+    """Per-task logit matrices for every row of ``features``: exact, from
+    ``shots`` samples, or under depolarizing ``noise``.
 
     Shot sampling and noise are only meaningful for the quantum model; the
-    classical/HQNN baselines always evaluate exactly.  Row i, commuting group
-    g samples shots from its own stream, keyed (seed, i, g).  Noise runs one
-    ``noisy_expectations`` call per row, on the engine that
+    classical/HQNN baselines always evaluate exactly.  The exact and the
+    shot-sampled logits of all rows come from one call; row i, commuting
+    group g samples shots from its own stream, keyed (seed, i, g).  Noise
+    runs one ``noisy_expectations`` call per row, on the engine that
     ``noise.engine(Q)`` picks: the exact density matrix for Q <=
-    ``noise.EXACT_QUBITS``, else ``noise.num_trajectories`` trajectories drawn
-    from ``noise.seed``.
+    ``noise.EXACT_QUBITS``, else ``noise.num_trajectories`` trajectories
+    drawn from ``noise.seed``.  Give at most one of ``shots`` and ``noise``.
     """
     if (shots is None and noise is None) or not isinstance(head_model, QmtlHeadModel):
         return head_model.forward_batch(params, features)
     model = head_model.model
-    if noise is not None:
-        theta = params[: model.num_circuit_params]
-        obs = list(model.observables)
-        raw = np.stack([
-            noisy_expectations(model.circuit, theta, x, obs, noise)
-            for x in features
-        ])
-        return logits_from_raw(model, params, raw)
-    rows = [forward(model, params, x, shots=shots, seed=(seed, i))
-            for i, x in enumerate(features)]
-    return {name: np.stack([r[name] for r in rows]) for name in model.task_names}
+    if noise is None:
+        return forward(model, params, features, shots, seed)
+    theta = params[: model.num_circuit_params]
+    obs = list(model.observables)
+    # one row per call, though noisy_expectations takes them all: the
+    # benchmark's tracer (perfbench/tracing.py) counts num_trajectories once
+    # per call, so only one-row calls keep its trajectory count right
+    raw = np.concatenate([noisy_expectations(model.circuit, theta, x[None], obs, noise)
+                          for x in np.asarray(features, dtype=float)])
+    return logits_from_raw(model, params, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +477,9 @@ def _noise_spec(p1: float, p2: float, trajectories: int, seed: int):
 def cmd_eval(args) -> int:
     if args.shots is not None and args.shots < 1:
         raise ConfigError(f"--shots must be >= 1, got {args.shots}")
+    if args.shots is not None and (args.p1, args.p2) != (0.0, 0.0):
+        raise ConfigError("--shots cannot be combined with --p1/--p2: "
+                          "noisy evaluation takes no shots")
     if args.seed is not None:
         _nonnegative_seeds([args.seed], "--seed")
     checkpoint = read_checkpoint(Path(args.checkpoint))
@@ -599,16 +603,17 @@ def cmd_sweep(args) -> int:
         # checked before any training; each seed gets its own noise stream
         noises = [_noise_spec(p, p, args.trajectories, 0) for p in grid]
         checkpoint = None if args.checkpoint is None else read_checkpoint(Path(args.checkpoint))
-        exp = base if checkpoint is None else parse_experiment(checkpoint["config"])
         if checkpoint is None:
-            head_model = exp.head_model()
+            head_model = base.head_model()
         else:
-            head_model, params = checkpoint_model(checkpoint, exp)
-        specs, train_data, val_data = exp.datasets()
-        cells = _budget_cells(exp)
+            # the checkpoint's config builds the model, so its tasks name the columns
+            base = parse_experiment(checkpoint["config"])
+            head_model, params = checkpoint_model(checkpoint, base)
+        specs, train_data, val_data = base.datasets()
+        cells = _budget_cells(base)
         for seed in seeds:
             if checkpoint is None:
-                cfg = replace(exp.train, seed=seed)
+                cfg = replace(base.train, seed=seed)
                 params = train(head_model, train_data, val_data, specs, cfg).best_params
             for p, noise in zip(grid, noises):
                 if noise is not None:

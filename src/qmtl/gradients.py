@@ -191,10 +191,10 @@ def adjoint_vjp(
     states are un-computed, never stored, so memory stays at psi, lambda
     and one scratch array.
     """
-    theta, features, psi = bind(circuit, theta, features, observables)
+    theta, features = bind(circuit, theta, features, observables)
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
-    psi = _run(psi, circuit, theta, features)
+    psi = _run(sv.zero_batch(nq, len(features)), circuit, theta, features)
     raw = np.empty((psi.shape[0], len(observables)))
     lam = np.zeros_like(psi)
     for o, obs in enumerate(observables):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -308,32 +308,21 @@ def logits_from_raw(model: QmtlModel, params: np.ndarray, raw: np.ndarray) -> di
     }
 
 
-def forward(
-    model: QmtlModel,
-    params: np.ndarray,
-    features: Sequence[float],
-    shots: Optional[int] = None,
-    seed: Union[int, Sequence[int]] = 0,
-) -> dict:
-    """Per-task logits for one feature vector.  The exact logits are row 0
-    of ``forward_batch`` over a batch of one.
-
-    With ``shots`` set, observables are estimated by sampling commuting
-    groups instead of exact expectation values; group ``gi`` draws from
-    ``default_rng([*seed, gi])`` (an int seed counts as ``(seed,)``), so a
-    caller that passes ``(seed, row)`` gets one stream per (seed, row, group).
-    """
-    if shots is None:
-        logits = forward_batch(model, params, np.asarray(features, dtype=float)[None])
-        return {name: rows[0] for name, rows in logits.items()}
+def forward(model: QmtlModel, params: np.ndarray, features: np.ndarray, shots: int,
+            seed: int = 0) -> dict:
+    """Per-task logit matrices (B, r_t) for a batch of feature rows, with each
+    observable estimated from ``shots`` samples of its commuting group: row
+    i, group g draws from ``default_rng([seed, i, g])``.  ``forward_batch``
+    gives the exact logits."""
     amps = evaluate(model.circuit, params[: model.num_circuit_params], features)
     observables = list(model.observables)
-    values = {}
-    for gi, group in enumerate(group_commuting(observables)):
-        ests = sample_expectation(amps, group, shots, [*np.atleast_1d(seed), gi])
-        for obs, est in zip(group, ests):
-            values[id(obs)] = est
-    raw = np.array([values[id(obs)] for obs in observables])
+    column = {id(obs): k for k, obs in enumerate(observables)}
+    groups = group_commuting(observables)
+    columns = [[column[id(obs)] for obs in group] for group in groups]
+    raw = np.empty((len(amps), len(observables)))
+    for i, row in enumerate(amps):
+        for g, group in enumerate(groups):
+            raw[i, columns[g]] = sample_expectation(row, group, shots, [seed, i, g])
     return logits_from_raw(model, params, raw)
 
 
@@ -417,7 +406,7 @@ def scaling_table(
     rows = []
     for t in task_counts:
         d = head_size * t * layers
-        p_c = t * outputs * (d + 1)
+        p_c = count_params_classical(d, [outputs] * t)
         p_q = head_size * t * (layers + k_theta * head_layers)
         rows.append({"T": t, "d": d, "P_C": p_c, "P_Q": p_q, "ratio": p_q / p_c})
     return rows

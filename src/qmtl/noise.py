@@ -9,13 +9,15 @@ arXiv:1512.01098).  Two engines estimate its observable expectations, and
 * ``"density_matrix"``, when Q <= EXACT_QUBITS: the exact channel, with the
   density matrix rho of each row stored as 2Q-qubit amplitudes (row bits
   0..Q-1, column bits Q..2Q-1) and run through the same fused
-  ``gate_blocks`` as a state.  A block U on qubit q is U on bit q and
+  ``gate_blocks`` as a state, all rows in one pass, in chunks of at most
+  2**MAX_QUBITS amplitudes.  A block U on qubit q is U on bit q and
   conj(U) on bit q + Q; as the twirl commutes with every unitary on its
   qubit, the noise of a block of k gates is one depolarizing update with
   f = (1 - 4 p1 / 3)**k.  The result does not depend on the trajectory
   count or the seed.
-* ``"trajectories"`` otherwise: T Monte-Carlo trajectories, one per row of a
-  (T, 2**Q) amplitude array, run together through one pass over the gates.
+* ``"trajectories"`` otherwise: per feature row, T Monte-Carlo trajectories,
+  one per row of a (T, 2**Q) amplitude array, run together through one pass
+  over the gates, from the same seed for every feature row.
   After each gate one uniform draw per row decides which rows are hit, and
   only those rows get their Pauli.  Rows are split into chunks of at most
   2**MAX_QUBITS amplitudes, a size that depends only on Q, so the estimate
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import statevector as sv
-from .circuit import Circuit, _run, bind, evaluate_expectations
+from .circuit import Circuit, _run, bind, evaluate_expectations_batch
 from .statevector import MAX_QUBITS, PauliString
 
 
@@ -70,24 +72,25 @@ def engine(num_qubits: int) -> str:
 def noisy_expectations(
     circuit: Circuit,
     theta: Sequence[float],
-    features: Sequence[float],
+    features: np.ndarray,
     observables: Sequence[PauliString],
     noise: NoiseSpec,
 ) -> np.ndarray:
-    """Observable expectations of one feature row under the noise channel,
-    from the engine that ``engine`` picks.
+    """Observable expectations under the noise channel, one row per row of
+    the (B, num_inputs) feature matrix: (B, n_obs), from the engine that
+    ``engine`` picks.  Each row gets the bits it gets alone: the exact engine
+    runs every row in one pass, the trajectory engine one row after another.
 
     With p1 = p2 = 0 this returns the exact noiseless expectations
     bit-for-bit.
     """
     if noise.p1 == 0.0 and noise.p2 == 0.0:
-        return evaluate_expectations(circuit, theta, features, observables)
-    # one feature row, bound as a batch of one; a (T, d) matrix is refused, as
-    # it would broadcast along the trajectory axis
-    row = np.asarray(features, dtype=float)[None]
+        return evaluate_expectations_batch(circuit, theta, features, observables)
+    theta, features = bind(circuit, theta, features, observables)
     if engine(circuit.num_qubits) == "density_matrix":
-        return _density_matrix(circuit, theta, row, observables, noise.p1, noise.p2)[0]
-    return _trajectories(circuit, theta, row, observables, noise)
+        return _density_matrix(circuit, theta, features, observables, noise.p1, noise.p2)
+    return np.reshape([_trajectories(circuit, theta, row, observables, noise)
+                       for row in features], (len(features), len(observables)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +137,29 @@ def _density_channel(circuit: Circuit, p1: float, p2: float):
 
 def _density_matrix(
     circuit: Circuit,
-    theta: Sequence[float],
+    theta: np.ndarray,
     features: np.ndarray,
     observables: Sequence[PauliString],
     p1: float,
     p2: float,
 ) -> np.ndarray:
-    """Exact expectations for each row of a (B, d) feature matrix: (B, n_obs).
-
-    Refuses, before allocating, B rows whose B * 4**Q amplitudes exceed the
-    2**MAX_QUBITS budget.
-    """
+    """Exact expectations for each row of a bound (B, d) feature matrix:
+    (B, n_obs), from one ``_run`` per chunk of 2**MAX_QUBITS amplitudes."""
     nq = circuit.num_qubits
-    rho = sv.zero_batch(2 * nq, len(features))
-    theta, features, _ = bind(circuit, theta, features, observables)
-    rho = _run(rho, circuit, theta, features, after_block=_density_channel(circuit, p1, p2))
+    channel = _density_channel(circuit, p1, p2)
+    chunk = max(1, (1 << MAX_QUBITS) >> (2 * nq))
     # Tr(P rho): the diagonal r = c, amplitude r + (c << Q), of P on the row bits
     diagonal = np.arange(1 << nq) * ((1 << nq) + 1)
     out = np.empty((len(features), len(observables)))
-    for i, obs in enumerate(observables):
-        acted = sv.apply_pauli_string(rho, obs.as_dict(), 2 * nq)
-        out[:, i] = np.real(acted[:, diagonal].sum(axis=-1))
+    for start in range(0, len(features), chunk):
+        rows = features[start:start + chunk]
+        rho = _run(sv.zero_batch(2 * nq, len(rows)), circuit, theta, rows, after_block=channel)
+        for i, obs in enumerate(observables):
+            acted = sv.apply_pauli_string(rho, obs.as_dict(), 2 * nq)
+            # take, unlike acted[:, diagonal], is C-ordered, so a row's sum does
+            # not depend on how many rows share the chunk
+            out[start:start + len(rows), i] = np.real(
+                np.take(acted, diagonal, axis=-1).sum(axis=-1))
     return out
 
 
@@ -164,15 +169,14 @@ def _density_matrix(
 
 def _trajectories(
     circuit: Circuit,
-    theta: Sequence[float],
+    theta: np.ndarray,
     features: np.ndarray,
     observables: Sequence[PauliString],
     noise: NoiseSpec,
 ) -> np.ndarray:
-    """Monte-Carlo average of the expectations of a (1, d) feature row over
-    ``noise.num_trajectories`` trajectories, each gate a block of its own."""
-    theta, features, _ = bind(circuit, theta, features, observables)
-    features = features[0]
+    """Monte-Carlo average of the expectations of one bound (d,) feature row
+    over ``noise.num_trajectories`` trajectories drawn from ``noise.seed``,
+    each gate a block of its own."""
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 

@@ -27,7 +27,7 @@ from qmtl.model import (
     assemble,
     count_params_classical,
     count_params_quantum,
-    forward,
+    forward_batch,
     scaling_table,
 )
 from qmtl.noise import NoiseSpec, noisy_expectations
@@ -127,7 +127,7 @@ def test_criterion_03_simulator_oracle_equivalence():
                                  num_inputs=3)
         theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
         features = rng.uniform(-np.pi, np.pi, 3)
-        amps = evaluate(circuit, theta, features)
+        amps = evaluate(circuit, theta, features[None])[0]
         reference = _dense_reference(circuit, theta, features)
         worst_amp = max(worst_amp, float(np.max(np.abs(amps - reference))))
         obs = [PauliString({int(rng.integers(nq)): str(rng.choice(["X", "Y", "Z"]))})]
@@ -201,12 +201,12 @@ def test_criterion_05_head_locality():
     model = assemble(config)
     params = model.init_params(seed=5)
     x = np.linspace(-np.pi, np.pi, 12)
-    base = forward(model, params, x)
+    base = forward_batch(model, params, x[None])
     leaked = 0.0
     for head in model.heads:
         bumped = params.copy()
         bumped[head.theta_slice] += 0.3
-        out = forward(model, bumped, x)
+        out = forward_batch(model, bumped, x[None])
         for other in model.heads:
             if other.name != head.name:
                 leaked = max(leaked, float(np.max(np.abs(out[other.name] - base[other.name]))))
@@ -236,8 +236,8 @@ def test_criterion_06_noise_channel_calibration():
     obs = [pauli("Z0")]
 
     exact = evaluate_expectations(circuit, [theta], [], obs)[0]
-    clean = noisy_expectations(circuit, [theta], [], obs,
-                               NoiseSpec(p1=0.0, p2=0.0, num_trajectories=10, seed=0))[0]
+    clean = noisy_expectations(circuit, [theta], [[]], obs,
+                               NoiseSpec(p1=0.0, p2=0.0, num_trajectories=10, seed=0))[0][0]
     bitwise = clean == exact
 
     n = 20_000
@@ -245,9 +245,9 @@ def test_criterion_06_noise_channel_calibration():
     details = [f"p=0 bitwise {'ok' if bitwise else 'BROKEN'}"]
     for p in (0.05, 0.1, 0.2):
         estimate = noisy_expectations(
-            circuit, [theta], [], obs,
+            circuit, [theta], [[]], obs,
             NoiseSpec(p1=p, p2=0.0, num_trajectories=n, seed=1),
-        )[0]
+        )[0][0]
         expected = (1 - 4 * p / 3) * np.cos(theta)
         # each trajectory contributes +/-cos(theta), so the estimator
         # variance is cos^2(theta) - expected^2

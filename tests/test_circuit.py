@@ -38,7 +38,7 @@ def _bell_circuit():
 
 
 def test_evaluate_bell_state():
-    amps = evaluate(_bell_circuit(), (), ())
+    (amps,) = evaluate(_bell_circuit(), (), [[]])
     assert amps.shape == (4,)
     np.testing.assert_allclose(amps, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15)
 
@@ -58,7 +58,7 @@ def test_evaluate_matches_manual_application():
     )
     theta = np.array([0.7, -1.2])
     features = np.array([2.1])
-    amps = evaluate(circuit, theta, features)
+    amps = evaluate(circuit, theta, features[None])[0]
 
     ref = zero_batch(2, 1)[0]
     for gate in (dense_1q(gate_matrix("h"), 0, 2),
@@ -74,7 +74,7 @@ def test_circuit_followed_by_inverse_is_identity():
     rng = np.random.default_rng(11)
     circuit = random_circuit(3, 25, rng)
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
-    amps = evaluate(circuit, theta, ())
+    amps = evaluate(circuit, theta, [[]])[0]
     # apply the inverse ops in reverse order
     from qmtl.circuit import _resolve
     from qmtl.statevector import apply_matrix, apply_cnot_array, gate_matrix
@@ -105,9 +105,9 @@ def test_gateop_validation():
 def test_binding_validation():
     circuit = Circuit(1, [GateOp("rx", (0,), (trainable(0),))], 1, 0)
     with pytest.raises(ValueError):
-        evaluate(circuit, (), ())
+        evaluate(circuit, (), [[]])
     with pytest.raises(ValueError):
-        evaluate(circuit, (0.1, 0.2), ())
+        evaluate(circuit, (0.1, 0.2), [[]])
 
 
 def test_trainable_index_range_checked():

@@ -266,6 +266,16 @@ def test_eval_rejects_probability_above_one(checkpoint, capsys):
     _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--p1", "1.5"], capsys)
 
 
+@pytest.mark.parametrize("noise", [["--p1", "0.05"], ["--p2", "0.05"]], ids=["p1", "p2"])
+def test_eval_with_shots_and_noise_fails_cleanly(checkpoint, tmp_path, capsys, noise):
+    # noisy evaluation takes no shots, so a report must not record them
+    out = tmp_path / "eval"
+    err = _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--shots", "3",
+                          "--out-dir", str(out)] + noise, capsys)
+    assert "--shots" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["params", "num_params"])
 def test_eval_rejects_checkpoint_without_key(checkpoint, tmp_path, capsys, key):
     payload = json.loads(checkpoint.read_text())
@@ -312,6 +322,25 @@ def test_negative_seed_fails_cleanly(checkpoint, tiny_config, tmp_path, capsys, 
     err = _fails_cleanly(argv, capsys)
     assert f"{flag} must be >= 0" in err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_noise_columns_name_the_checkpoint_tasks(checkpoint, tmp_path):
+    renamed = json.loads(json.dumps(TINY_CONFIG))
+    for head, name in zip(renamed["heads"], ("a", "b")):
+        head["name"] = name
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(renamed))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "noise", "--config", str(path), "--checkpoint", str(checkpoint),
+                 "--grid", "0.0,0.05", "--out-dir", str(out)]) == 0
+    with open(out / "sweep_noise.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert not any(key.startswith(("a.", "b.")) for key in row)
+        for name in ("u", "v"):
+            assert 0.0 <= float(row[f"{name}.accuracy"]) <= 1.0
+            assert float(row[f"{name}.loss"]) > 0.0
 
 
 def test_sweep_noise_rejects_zero_trajectories(tiny_config, checkpoint, tmp_path, capsys):

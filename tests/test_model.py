@@ -146,11 +146,11 @@ def test_head_locality():
     rng = np.random.default_rng(0)
     params = model.init_params(seed=2)
     x = rng.uniform(-np.pi, np.pi, 12)
-    base = forward(model, params, x)
+    base = forward_batch(model, params, x[None])
     for head in model.heads:
         bumped = params.copy()
         bumped[head.theta_slice] += 0.2
-        out = forward(model, bumped, x)
+        out = forward_batch(model, bumped, x[None])
         for other in model.heads:
             if other.name == head.name:
                 assert np.max(np.abs(out[other.name] - base[other.name])) > 1e-6
@@ -181,17 +181,17 @@ def test_forward_batch_matches_single():
     features = rng.uniform(-np.pi, np.pi, (3, 12))
     batch = forward_batch(model, params, features)
     for i in range(3):
-        single = forward(model, params, features[i])
+        single = forward_batch(model, params, features[i][None])
         for name in model.task_names:
-            np.testing.assert_allclose(batch[name][i], single[name], atol=1e-13)
+            np.testing.assert_allclose(batch[name][i], single[name][0], atol=1e-13)
 
 
 def test_forward_with_shots_approximates_exact():
     model = assemble(_three_task_config())
     params = model.init_params(seed=3)
     x = np.zeros(12)
-    exact = forward(model, params, x)
-    sampled = forward(model, params, x, shots=200_000, seed=0)
+    exact = forward_batch(model, params, x[None])
+    sampled = forward(model, params, x[None], shots=200_000, seed=0)
     for name in model.task_names:
         np.testing.assert_allclose(sampled[name], exact[name], atol=0.02)
 

@@ -40,8 +40,8 @@ def test_zero_noise_is_bitwise_exact():
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     observables = [pauli("Z0"), pauli("X1*Z2")]
     exact = evaluate_expectations(circuit, theta, (), observables)
-    noisy = noisy_expectations(circuit, theta, (), observables,
-                               NoiseSpec(p1=0.0, p2=0.0, num_trajectories=7))
+    noisy = noisy_expectations(circuit, theta, [[]], observables,
+                               NoiseSpec(p1=0.0, p2=0.0, num_trajectories=7))[0]
     assert np.array_equal(np.asarray(exact), np.asarray(noisy))
 
 
@@ -51,7 +51,7 @@ def test_depolarizing_attenuation_closed_form(p):
     theta = 0.8
     n = 4000
     noise = NoiseSpec(p1=p, p2=0.0, num_trajectories=n, seed=42)
-    (value,) = noisy_expectations(_ry_circuit(), [theta], (), [pauli("Z0")], noise)
+    (value,) = noisy_expectations(_ry_circuit(), [theta], [[]], [pauli("Z0")], noise)[0]
     expected = (1 - 4 * p / 3) * np.cos(theta)
     # each trajectory yields +-cos(theta); allow 4 binomial standard errors
     se = np.sqrt((1 - (1 - 4 * p / 3) ** 2) / n) * abs(np.cos(theta))
@@ -60,8 +60,8 @@ def test_depolarizing_attenuation_closed_form(p):
 
 def test_noise_deterministic_given_seed():
     noise = NoiseSpec(p1=0.1, p2=0.0, num_trajectories=50, seed=3)
-    a = noisy_expectations(_ry_circuit(), [0.5], (), [pauli("Z0")], noise)
-    b = noisy_expectations(_ry_circuit(), [0.5], (), [pauli("Z0")], noise)
+    a = noisy_expectations(_ry_circuit(), [0.5], [[]], [pauli("Z0")], noise)
+    b = noisy_expectations(_ry_circuit(), [0.5], [[]], [pauli("Z0")], noise)
     assert np.array_equal(a, b)
 
 
@@ -73,7 +73,7 @@ def test_two_qubit_noise_attenuates_entangled_expectation():
     exact = evaluate_expectations(circuit, (), (), obs)
     assert exact[0] == pytest.approx(1.0)
     noise = NoiseSpec(p1=0.0, p2=0.3, num_trajectories=3000, seed=0)
-    (noisy,) = noisy_expectations(circuit, (), (), obs, noise)
+    (noisy,) = noisy_expectations(circuit, (), [[]], obs, noise)[0]
     # Pauli insertion after the CNOT flips ZZ for 8 of 15 choices:
     # E = 1 - p2 * 16/15... empirically just require clear attenuation
     assert 0.5 < noisy < 0.95
@@ -174,8 +174,8 @@ def test_trajectories_match_density_matrix_oracle():
     exact = evaluate_expectations(circuit, theta, x, observables)
     # the noise moves every value by more than the tolerance
     assert np.all(np.abs(exact - oracle) > _six_se(oracle, n))
-    values = noisy_expectations(circuit, theta, x, observables,
-                                NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5))
+    values = noisy_expectations(circuit, theta, x[None], observables,
+                                NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5))[0]
     assert np.all(np.abs(values - oracle) <= _six_se(oracle, n)), (values, oracle)
 
 
@@ -183,7 +183,7 @@ def test_trajectory_engine_matches_density_matrix_oracle():
     circuit, theta, x, observables = _oracle_case()
     p1, p2, n = 0.02, 0.1, 2000
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
-    values = noise_module._trajectories(circuit, theta, x[None], observables,
+    values = noise_module._trajectories(circuit, theta, x, observables,
                                         NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5))
     assert np.all(np.abs(values - oracle) <= _six_se(oracle, n)), (values, oracle)
 
@@ -202,9 +202,9 @@ def test_chunked_trajectories_match_oracle_and_are_deterministic(monkeypatch):
 
     monkeypatch.setattr(noise_module, "_run", counting_run)
     spec = NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=5)
-    first = noise_module._trajectories(circuit, theta, x[None], observables, spec)
+    first = noise_module._trajectories(circuit, theta, x, observables, spec)
     assert runs == [512, 512, 512, 464]
-    second = noise_module._trajectories(circuit, theta, x[None], observables, spec)
+    second = noise_module._trajectories(circuit, theta, x, observables, spec)
     assert np.array_equal(first, second)
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
     assert np.all(np.abs(first - oracle) <= _six_se(oracle, n)), (first, oracle)
@@ -227,23 +227,73 @@ def test_noisy_expectations_runs_the_engine_the_rule_picks(monkeypatch):
     circuit, theta, x, observables = _oracle_case()
     spec = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=8, seed=5)
     assert np.array_equal(
-        noisy_expectations(circuit, theta, x, observables, spec),
-        noise_module._density_matrix(circuit, theta, x[None], observables, 0.02, 0.1)[0])
+        noisy_expectations(circuit, theta, x[None], observables, spec),
+        noise_module._density_matrix(circuit, theta, x[None], observables, 0.02, 0.1))
     monkeypatch.setattr(noise_module, "EXACT_QUBITS", circuit.num_qubits - 1)
     assert np.array_equal(
-        noisy_expectations(circuit, theta, x, observables, spec),
-        noise_module._trajectories(circuit, theta, x[None], observables, spec))
+        noisy_expectations(circuit, theta, x[None], observables, spec)[0],
+        noise_module._trajectories(circuit, theta, x, observables, spec))
 
 
-def test_noisy_expectations_checks_bindings():
+def test_noisy_expectations_checks_bindings(monkeypatch):
     circuit, theta, x, observables = _oracle_case()
     noise = NoiseSpec(p1=0.01, p2=0.01, num_trajectories=8, seed=0)
     with pytest.raises(ValueError, match="trainable"):
-        noisy_expectations(circuit, theta[:-1], x, observables, noise)
-    # one row per trajectory would otherwise broadcast along the batch axis
-    rows = np.tile(x, (noise.num_trajectories, 1))
+        noisy_expectations(circuit, theta[:-1], x[None], observables, noise)
+    # a 1-D row is no (B, d) matrix, on either engine and without noise
+    for spec in (noise, replace(noise, p1=0.0, p2=0.0)):
+        with pytest.raises(ValueError, match="input features"):
+            noisy_expectations(circuit, theta, x, observables, spec)
+    monkeypatch.setattr(noise_module, "EXACT_QUBITS", circuit.num_qubits - 1)
     with pytest.raises(ValueError, match="input features"):
-        noisy_expectations(circuit, theta, rows, observables, noise)
+        noisy_expectations(circuit, theta, x, observables, noise)
+
+
+def _oracle_rows(rows):
+    """The oracle case with ``rows`` feature rows, the first its own."""
+    circuit, theta, x, observables = _oracle_case()
+    more = np.random.default_rng(8).uniform(0, np.pi, (rows - 1, circuit.num_inputs))
+    return circuit, theta, np.vstack([x, more]), observables
+
+
+def test_batched_density_matrix_matches_row_by_row():
+    circuit, theta, rows, observables = _oracle_rows(5)
+    spec = NoiseSpec(p1=0.02, p2=0.1)
+    batched = noisy_expectations(circuit, theta, rows, observables, spec)
+    single = np.vstack([noisy_expectations(circuit, theta, row[None], observables, spec)
+                        for row in rows])
+    assert batched.shape == (5, len(observables))
+    assert np.array_equal(batched, single)
+
+
+def test_chunked_density_matrix_gives_the_unchunked_bits(monkeypatch):
+    circuit, theta, rows, observables = _oracle_rows(5)
+    spec = NoiseSpec(p1=0.02, p2=0.1)
+    whole = noisy_expectations(circuit, theta, rows, observables, spec)
+    # 2 rows of 4**Q amplitudes per chunk: two full chunks and a lone row
+    monkeypatch.setattr(noise_module, "MAX_QUBITS", 2 * circuit.num_qubits + 1)
+    runs = []
+    original = noise_module._run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(noise_module, "_run", counting_run)
+    chunked = noisy_expectations(circuit, theta, rows, observables, spec)
+    assert runs == [2, 2, 1]
+    assert np.array_equal(chunked, whole)
+
+
+def test_batched_trajectories_equal_each_row_alone(monkeypatch):
+    circuit, theta, rows, observables = _oracle_rows(3)
+    monkeypatch.setattr(noise_module, "EXACT_QUBITS", circuit.num_qubits - 1)
+    spec = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=64, seed=5)
+    batched = noisy_expectations(circuit, theta, rows, observables, spec)
+    assert batched.shape == (3, len(observables))
+    for row, values in zip(rows, batched):
+        assert np.array_equal(values,
+                              noisy_expectations(circuit, theta, row[None], observables, spec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +309,13 @@ def test_density_matrix_engine_matches_oracle(p1, p2):
     assert max(len(block) for block in gate_blocks(circuit)) > 1
     assert engine(circuit.num_qubits) == "density_matrix"
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
-    values = noisy_expectations(circuit, theta, x, observables,
-                                NoiseSpec(p1=p1, p2=p2, num_trajectories=2000, seed=5))
+    values = noisy_expectations(circuit, theta, x[None], observables,
+                                NoiseSpec(p1=p1, p2=p2, num_trajectories=2000, seed=5))[0]
     np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("num_qubits, rows", [(4, (1 << 16) + 1), (12, 2), (13, 1)])
+# a batch is split into chunks that fit the budget; one row above it is refused
+@pytest.mark.parametrize("num_qubits, rows", [(13, 1)])
 def test_density_matrix_batch_refused_before_allocation(num_qubits, rows):
     circuit = Circuit(num_qubits, [GateOp("h", (0,))], 0, 0)
     features = np.empty((rows, 0))  # no inputs: the matrix holds no bytes
@@ -281,12 +332,12 @@ def test_density_matrix_batch_refused_before_allocation(num_qubits, rows):
 def test_density_matrix_engine_is_deterministic_and_exact_at_zero_noise():
     circuit, theta, x, observables = _oracle_case()
     spec = NoiseSpec(p1=0.02, p2=0.1, num_trajectories=1000)
-    first = noisy_expectations(circuit, theta, x, observables, spec)
-    again = noisy_expectations(circuit, theta, x, observables,
+    first = noisy_expectations(circuit, theta, x[None], observables, spec)
+    again = noisy_expectations(circuit, theta, x[None], observables,
                                replace(spec, num_trajectories=4000, seed=9))
     assert np.array_equal(first, again)
     zero = replace(spec, p1=0.0, p2=0.0)
-    assert np.array_equal(noisy_expectations(circuit, theta, x, observables, zero),
+    assert np.array_equal(noisy_expectations(circuit, theta, x[None], observables, zero)[0],
                           evaluate_expectations(circuit, theta, x, observables))
 
 

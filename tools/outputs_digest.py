@@ -8,8 +8,9 @@ qubits and parameter refs) and each head's slices and observables; per head
 variant and preset, the initial parameters at seeds 0 and 3,
 ``forward_batch``, ``loss_gradient`` and ``backward_batch`` (all tasks, and
 the first alone) on 16 training rows; per variant a 3-epoch toy training run;
-and ``cli.eval_logits`` on 8 toy rows exact, with 4096 shots and with
-p1 = p2 = 0.01 depolarizing noise.
+``cli.eval_logits`` on 8 toy rows exact, with 4096 shots and with
+p1 = p2 = 0.01 depolarizing noise (the density-matrix engine); and on 2
+glue-like rows with that noise over 50 trajectories (the trajectory engine).
 """
 
 import hashlib
@@ -98,6 +99,11 @@ items["qmtl/toy/eval-exact"] = cli.eval_logits(model, params, x)
 items["qmtl/toy/eval-shots"] = cli.eval_logits(model, params, x, shots=4096, seed=0)
 items["qmtl/toy/eval-noise"] = cli.eval_logits(model, params, x,
                                                noise=NoiseSpec(p1=0.01, p2=0.01, seed=0))
+
+_, _, model, _, val_data = setup("glue-like", "qmtl")
+items["qmtl/glue-like/eval-noise"] = cli.eval_logits(
+    model, model.init_params(0), val_data.features[:2],
+    noise=NoiseSpec(p1=0.01, p2=0.01, num_trajectories=50, seed=0))
 
 digests = {name: digest(value) for name, value in items.items()}
 for name, hexdigest in digests.items():
