@@ -1,6 +1,7 @@
 """Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, of
-one noisy block on a density matrix at Q = 4 and 10, and of shot sampling
-at Q = 4 and 10.
+one noisy block on a density matrix at Q = 4 and 10, of shot sampling
+at Q = 4 and 10, and of one training step's circuit gradient
+(``loss_gradient``) on a ``toy`` and a ``glue-like`` batch.
 
 Run from the repository root with
 
@@ -16,13 +17,21 @@ amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
 A density matrix is one row of 4**Q amplitudes, as the exact noise engine
 stores each feature row's.  Shot sampling draws 4096 shots of one state's
 1-D amplitudes, as ``model.forward`` does per row and commuting group.
+The gradient cases take the ``toy`` preset's first 64 training rows with
+every task, and the first 32 labeled ``glue-like`` rows of its first task,
+shaped like the one-task batch of a ``task_sampled`` step.
 """
 
 import numpy as np
 import pytest
 
+from qmtl import cli
 from qmtl.circuit import Circuit, GateOp, _run, const
+from qmtl.data import gen_synthetic
+from qmtl.gradients import loss_gradient
+from qmtl.losses import MISSING
 from qmtl.noise import _density_channel
+from qmtl.presets import get_preset
 from qmtl.statevector import (
     apply_cnot_array,
     apply_matrix,
@@ -100,3 +109,21 @@ def test_sample_expectation(benchmark, nq):
     out = benchmark(sample_expectation, amps, group, SHOTS, 0)
     assert len(out) == nq
     assert all(-1.0 <= est <= 1.0 for est in out)
+
+
+@pytest.mark.parametrize("preset,rows,one_task", [("toy", 64, False), ("glue-like", 32, True)],
+                         ids=["toy-B64", "glue-like-B32"])
+def test_loss_gradient(benchmark, preset, rows, one_task):
+    config = get_preset(preset)
+    specs = cli.task_specs_from(config)
+    train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
+    model = cli.head_model_from(config, specs)
+    if one_task:
+        specs = specs[:1]
+        labeled = np.flatnonzero(np.asarray(train_data.labels[specs[0].name]) != MISSING)
+        batch = train_data.subset(labeled[:rows])
+    else:
+        batch = train_data.subset(np.arange(rows))
+    params = model.init_params(0)
+    _, grad = benchmark(loss_gradient, model, params, batch.features, batch.labels, specs)
+    assert grad.shape == params.shape and np.all(np.isfinite(grad))

@@ -7,7 +7,7 @@ index may be referenced by several gates (shared parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -235,13 +235,41 @@ def evaluate_expectations_batch(
     override: Optional[dict] = None,
 ) -> np.ndarray:
     """Expectations for a batch of feature rows; returns (B, n_observables)."""
+    return run_batch(circuit, theta, features, observables, override).raw
+
+
+class CircuitRun(NamedTuple):
+    """One run of a (B, d) feature matrix: the checked bindings, the
+    observables, their (B, n_observables) expectations ``raw`` and the final
+    (B, 2**Q) amplitudes, where the adjoint reverse sweep
+    (``gradients.adjoint_reverse``) starts."""
+
+    theta: np.ndarray
+    features: np.ndarray
+    observables: tuple
+    raw: np.ndarray
+    amps: np.ndarray
+
+
+def run_batch(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    override: Optional[dict] = None,
+) -> CircuitRun:
+    """The ``CircuitRun`` of a batch of feature rows, from one ``_run``.
+
+    With an ``override`` the amplitudes are those of the shifted circuit, so
+    only ``raw`` is of use; the reverse sweep needs a run without one.
+    """
     theta, features = bind(circuit, theta, features, observables)
     amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
                 override=override)
-    out = np.empty((len(amps), len(observables)))
+    raw = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
-        out[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return out
+        raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
+    return CircuitRun(theta, features, tuple(observables), raw, amps)
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

@@ -45,6 +45,7 @@ VARIANTS = ("qmtl", "classical", "hqnn")
 CHECKPOINT_VERSION = 1
 HQNN_QUBITS = 4
 NUMBER = (int, float)
+QMTL_ONLY = "shots and noise apply to the qmtl variant only"
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,8 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
     """Per-task logit matrices for every row of ``features``: exact, from
     ``shots`` samples, or under depolarizing ``noise``.
 
-    Shot sampling and noise are only meaningful for the quantum model; the
-    classical/HQNN baselines always evaluate exactly.  The exact and the
+    Shot sampling and noise apply to the QMTL model only; a classical or
+    HQNN model with either is refused with a ConfigError.  The exact and the
     shot-sampled logits of all rows come from one call; row i, commuting
     group g samples shots from its own stream, keyed (seed, i, g).  Noise
     runs one ``noisy_expectations`` call per row, on the engine that
@@ -347,8 +348,10 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
     ``noise.EXACT_QUBITS``, else ``noise.num_trajectories`` trajectories
     drawn from ``noise.seed``.  Give at most one of ``shots`` and ``noise``.
     """
-    if (shots is None and noise is None) or not isinstance(head_model, QmtlHeadModel):
+    if shots is None and noise is None:
         return head_model.forward_batch(params, features)
+    if not isinstance(head_model, QmtlHeadModel):
+        raise ConfigError(f"{QMTL_ONLY}, not to a {type(head_model).__name__}")
     model = head_model.model
     if noise is None:
         return forward(model, params, features, shots, seed)
@@ -494,7 +497,7 @@ def cmd_eval(args) -> int:
                          seed=seed)
     report = report_from_logits(logits, val_data.labels, specs)
     noise_engine = None
-    if noise is not None and isinstance(head_model, QmtlHeadModel):
+    if noise is not None:
         noise_engine = engine(head_model.model.circuit.num_qubits)
     summary = run_report(exp, report, seed, extra={
         "checkpoint": str(args.checkpoint),
@@ -609,6 +612,8 @@ def cmd_sweep(args) -> int:
             # the checkpoint's config builds the model, so its tasks name the columns
             base = parse_experiment(checkpoint["config"])
             head_model, params = checkpoint_model(checkpoint, base)
+        if base.variant != "qmtl" and any(noise is not None for noise in noises):
+            raise ConfigError(f"{QMTL_ONLY}, not to {base.variant!r}")
         specs, train_data, val_data = base.datasets()
         cells = _budget_cells(base)
         for seed in seeds:

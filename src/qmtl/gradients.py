@@ -1,12 +1,15 @@
 """Circuit gradients: the adjoint-state vector-Jacobian product that training
 uses, and the independent oracles that check it.
 
-Training differentiates the circuit with ``adjoint_vjp``: one forward run,
-then one reverse sweep that un-computes the state one fused gate block
-(``circuit.gate_blocks``) at a time, so its cost does not grow with the
-number of parameters.  The parameter-shift
-Jacobians (exact for Pauli rotations, and runnable on hardware) and central
-finite differences stay as oracles for ``qmtl gradcheck`` and the tests.
+Training differentiates the circuit by the adjoint method, with one circuit
+run per step: the forward that gives the logits (``circuit.run_batch``)
+keeps its final state, and ``adjoint_reverse`` sweeps back from it,
+un-computing the state one fused gate block (``circuit.gate_blocks``) at a
+time, so its cost does not grow with the number of parameters.
+``adjoint_vjp`` is the two composed, for a bare circuit.  The
+parameter-shift Jacobians (exact for Pauli rotations, and runnable on
+hardware) and central finite differences stay as oracles for ``qmtl
+gradcheck`` and the tests.
 
 A trainable index referenced by m gate occurrences is differentiated by
 summing over its occurrences (product rule); parameter reuse in the shared
@@ -22,13 +25,13 @@ import numpy as np
 from . import statevector as sv
 from .circuit import (
     Circuit,
+    CircuitRun,
     ROTATION_KINDS,
     _resolve,
-    _run,
-    bind,
     evaluate_expectations,
     evaluate_expectations_batch,
     gate_blocks,
+    run_batch,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
 from .statevector import PauliString
@@ -168,37 +171,30 @@ def _cross(psi: np.ndarray, lam: np.ndarray, qubit: int, num_qubits: int) -> np.
     return cross
 
 
-def adjoint_vjp(
-    circuit: Circuit,
-    theta: Sequence[float],
-    features: np.ndarray,
-    observables: Sequence[PauliString],
-    weights: np.ndarray,
-) -> tuple:
-    """``(raw, dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b.
+def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> tuple:
+    """``(dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b, from the
+    final amplitudes of a forward ``run`` (``circuit.run_batch``) of
+    ``circuit``; the circuit is not run again.
 
-    ``raw`` is the (B, n_obs) matrix of expectations, ``dtheta`` is dL/dtheta
-    summed over rows and over every occurrence of a reused slot, and
-    ``dinputs`` is the per-row (B, n_inputs) dL/d(input angle).
+    ``dtheta`` is dL/dtheta summed over rows and over every occurrence of a
+    reused slot, and ``dinputs`` is the per-row (B, n_inputs) dL/d(input
+    angle).
 
-    Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): run the
-    circuit forward once, form lambda = sum_o w_o P_o |psi>, then walk the
-    blocks of ``gate_blocks`` in reverse, applying each block's U^dagger to
-    both psi and lambda.  A rotation exp(-i a G / 2) followed, inside its
-    block, by the factors V contributes Im <lambda|V G V^dagger|psi>, taken
-    at the block's output, so a block costs one ``_cross`` and one U^dagger
-    on each of psi and lambda, however many gates it holds.  Intermediate
-    states are un-computed, never stored, so memory stays at psi, lambda
-    and one scratch array.
+    Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): form
+    lambda = sum_o w_o P_o |psi>, then walk the blocks of ``gate_blocks`` in
+    reverse, applying each block's U^dagger to both psi and lambda.  A
+    rotation exp(-i a G / 2) followed, inside its block, by the factors V
+    contributes Im <lambda|V G V^dagger|psi>, taken at the block's output, so
+    a block costs one ``_cross`` and one U^dagger on each of psi and lambda,
+    however many gates it holds.  Intermediate states are un-computed, never
+    stored, so memory stays at psi, lambda and one scratch array; the run's
+    own amplitudes are left as they are.
     """
-    theta, features = bind(circuit, theta, features, observables)
+    theta, features, psi = run.theta, run.features, run.amps
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
-    psi = _run(sv.zero_batch(nq, len(features)), circuit, theta, features)
-    raw = np.empty((psi.shape[0], len(observables)))
     lam = np.zeros_like(psi)
-    for o, obs in enumerate(observables):
-        raw[:, o] = sv.expectation_array(psi, obs.as_dict(), nq)
+    for o, obs in enumerate(run.observables):
         lam += weights[:, o, None] * sv.apply_pauli_string(psi, obs.as_dict(), nq)
 
     dtheta = np.zeros(circuit.num_trainable)
@@ -227,12 +223,27 @@ def adjoint_vjp(
         inverse = _dagger(after)
         psi = sv.apply_matrix(psi, inverse, qubit, nq)
         lam = sv.apply_matrix(lam, inverse, qubit, nq)
-    return raw, dtheta, dinputs
+    return dtheta, dinputs
+
+
+def adjoint_vjp(
+    circuit: Circuit,
+    theta: Sequence[float],
+    features: np.ndarray,
+    observables: Sequence[PauliString],
+    weights: np.ndarray,
+) -> tuple:
+    """``(raw, dtheta, dinputs)``: the (B, n_obs) expectations of one forward
+    ``run_batch`` and ``adjoint_reverse`` from it."""
+    run = run_batch(circuit, theta, features, observables)
+    return (run.raw, *adjoint_reverse(circuit, run, weights))
 
 
 def loss_gradient(head_model, params: np.ndarray, features: np.ndarray,
                   labels: dict, task_specs: Sequence) -> tuple:
-    """Total multi-task loss and its gradient over the model's parameters.
+    """Total multi-task loss and its gradient over the model's parameters,
+    from one forward pass: ``head_model.forward_state`` gives the logits and
+    their state, and ``head_model.backward_batch`` takes that state.
 
     ``labels[name]`` is a length-B array with the MISSING sentinel marking
     unlabeled entries.  Per task the loss is lambda_t times the mean over
@@ -241,7 +252,7 @@ def loss_gradient(head_model, params: np.ndarray, features: np.ndarray,
     from .losses import task_loss_and_grad
 
     features = np.asarray(features, dtype=float)
-    logits = head_model.forward_batch(params, features)
+    logits, state = head_model.forward_state(params, features)
     total = 0.0
     dlogits = {}
     contributed = 0
@@ -254,5 +265,5 @@ def loss_gradient(head_model, params: np.ndarray, features: np.ndarray,
         contributed += n_labeled
     if contributed == 0:
         raise DegenerateBatchError("no labeled entries in batch for any task")
-    grad = head_model.backward_batch(params, features, dlogits)
+    grad = head_model.backward_batch(params, state, dlogits)
     return total, grad

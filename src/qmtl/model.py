@@ -17,12 +17,13 @@ from .circuit import (
     Circuit,
     GateOp,
     evaluate,
-    evaluate_expectations_batch,
     feature,
     group_commuting,
+    run_batch,
     trainable,
 )
 from .errors import ConfigError
+from .gradients import adjoint_reverse
 from .statevector import PauliString, pauli, sample_expectation
 
 
@@ -326,25 +327,26 @@ def forward(model: QmtlModel, params: np.ndarray, features: np.ndarray, shots: i
     return logits_from_raw(model, params, raw)
 
 
-def forward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray) -> dict:
-    """Per-task logit matrices (B, r_t) for a batch of feature rows."""
+def forward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray) -> tuple:
+    """``(logits, run)``: per-task logit matrices (B, r_t) for a batch of
+    feature rows, and the ``circuit.CircuitRun`` they were read from, which
+    ``backward_batch`` takes."""
     theta = params[: model.num_circuit_params]
-    raw = evaluate_expectations_batch(model.circuit, theta, features, list(model.observables))
-    return logits_from_raw(model, params, raw)
+    run = run_batch(model.circuit, theta, features, model.observables)
+    return logits_from_raw(model, params, run.raw), run
 
 
-def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
-                   dlogits: dict) -> np.ndarray:
-    """Chain-rule gradient of a scalar loss through logits.
+def backward_batch(model: QmtlModel, params: np.ndarray, run, dlogits: dict) -> np.ndarray:
+    """Chain-rule gradient of a scalar loss through logits, from the circuit
+    ``run`` of the ``forward_batch`` that gave them; the circuit is not run
+    again.
 
     ``dlogits[name]`` holds dL/dlogit of shape (B, r_t); the returned vector
     covers circuit angles then calibration scalars.
     """
-    from .gradients import adjoint_vjp
-
     # dL/draw per observable; heads absent from dlogits (task not in the
     # current batch) contribute zero
-    draw = np.zeros((len(features), len(model.observables)))
+    draw = np.zeros(run.raw.shape)
     for head in model.heads:
         if head.name not in dlogits:
             continue
@@ -352,13 +354,10 @@ def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
         gamma, _ = _gamma_beta(head, params)
         draw[:, head.logit_slice] = d if gamma is None else gamma * d
 
-    theta = params[: model.num_circuit_params]
-    raw, dtheta, _ = adjoint_vjp(model.circuit, theta, features,
-                                 list(model.observables), draw)
     grad = np.zeros(model.num_params)
-    grad[: model.num_circuit_params] = dtheta
+    grad[: model.num_circuit_params], _ = adjoint_reverse(model.circuit, run, draw)
 
-    # analytic calibration derivatives from the same forward run's raw values
+    # analytic calibration derivatives from the forward run's raw values
     for head in model.heads:
         if head.name not in dlogits:
             continue
@@ -367,7 +366,7 @@ def backward_batch(model: QmtlModel, params: np.ndarray, features: np.ndarray,
         calib = grad[head.calib_slice]
         if gamma is not None:
             # d/dgamma_i per logit; a scalar tau sums over every logit
-            z = raw[:, head.logit_slice]
+            z = run.raw[:, head.logit_slice]
             calib[: np.size(gamma)] = np.sum(d * z, axis=0 if np.ndim(gamma) else None)
         if beta is not None:
             calib[np.size(gamma):] = np.sum(d, axis=0)          # d/dbeta_i
@@ -415,8 +414,10 @@ def scaling_table(
 # ---------------------------------------------------------------------------
 # baseline heads
 #
-# All head models share one interface: a flat parameter vector, forward_batch
-# producing per-task logits, and backward_batch consuming per-task dL/dlogit.
+# All head models share one interface: a flat parameter vector; forward_state
+# producing per-task logits and the state of that forward pass; backward_batch
+# consuming that state and per-task dL/dlogit, with no second forward pass;
+# and forward_batch, the logits of forward_state alone.
 
 
 class QmtlHeadModel:
@@ -439,10 +440,13 @@ class QmtlHeadModel:
         return self.model.init_params(seed)
 
     def forward_batch(self, params, features):
+        return forward_batch(self.model, params, features)[0]
+
+    def forward_state(self, params, features):
         return forward_batch(self.model, params, features)
 
-    def backward_batch(self, params, features, dlogits):
-        return backward_batch(self.model, params, features, dlogits)
+    def backward_batch(self, params, run, dlogits):
+        return backward_batch(self.model, params, run, dlogits)
 
 
 class ClassicalHeadModel:
@@ -483,6 +487,11 @@ class ClassicalHeadModel:
     def forward_batch(self, params, features):
         features = np.asarray(features, dtype=float)
         return {name: features @ w.T + params[b] for name, w, _, b in self._layers(params)}
+
+    def forward_state(self, params, features):
+        """The logits and their state, which is the feature matrix itself."""
+        features = np.asarray(features, dtype=float)
+        return self.forward_batch(params, features), features
 
     def backward_batch(self, params, features, dlogits):
         features = np.asarray(features, dtype=float)
@@ -561,20 +570,23 @@ class HqnnHeadModel:
                 params[self.scale], params[self.scale + 1:])
 
     def forward_batch(self, params, features):
-        theta, proj, scale, tasks = self._split(params)
-        u = self.projection.forward_batch(proj, features)["projection"]
-        expect = evaluate_expectations_batch(self.circuit, theta, u, self.observables)
-        return self.tasks.forward_batch(tasks, scale * expect)
+        return self.forward_state(params, features)[0]
 
-    def backward_batch(self, params, features, dlogits):
-        from .gradients import adjoint_vjp
-
+    def forward_state(self, params, features):
+        """The logits and their state: the feature matrix and the circuit run
+        on its projection u."""
         features = np.asarray(features, dtype=float)
         theta, proj, scale, tasks = self._split(params)
         u = self.projection.forward_batch(proj, features)["projection"]
+        run = run_batch(self.circuit, theta, u, self.observables)
+        return self.tasks.forward_batch(tasks, scale * run.raw), (features, run)
+
+    def backward_batch(self, params, state, dlogits):
+        features, run = state
+        _, proj, scale, tasks = self._split(params)
+        expect = run.raw
         dscaled = self.tasks.input_gradient(tasks, dlogits, len(features))
-        expect, dtheta, du = adjoint_vjp(self.circuit, theta, u, self.observables,
-                                         scale * dscaled)
+        dtheta, du = adjoint_reverse(self.circuit, run, scale * dscaled)
         return np.concatenate([
             dtheta,
             self.projection.backward_batch(proj, features, {"projection": du}),

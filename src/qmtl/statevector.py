@@ -116,15 +116,20 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int)
     return out.reshape(batch + (dim,))
 
 
-def cnot_permutation(control: int, target: int, num_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-
-
 def apply_cnot_array(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
-    # take, unlike amps[..., perm], returns a C-ordered array, so the next
-    # kernel's reshape is a view
-    return np.take(amps, cnot_permutation(control, target, num_qubits), axis=-1)
+    """A C-ordered copy of ``amps`` whose control = 1 slice has its target = 0
+    and target = 1 halves swapped; no index array is built."""
+    high, low = max(control, target), min(control, target)
+    shape = amps.shape[:-1] + ((1 << num_qubits) >> (high + 1), 2,
+                               (1 << high) >> (low + 1), 2, 1 << low)
+    src = amps.reshape(shape)
+    out = amps.copy()  # C order, so this reshape is a view
+    dst = out.reshape(shape)
+    if control == high:  # control bit on axis -4, target bit on axis -2
+        dst[..., 1, :, :, :] = src[..., 1, :, ::-1, :]
+    else:
+        dst[..., :, :, 1, :] = src[..., ::-1, :, 1, :]
+    return out
 
 
 def apply_pauli_string(amps: np.ndarray, terms: Mapping[int, str], num_qubits: int) -> np.ndarray:

@@ -201,12 +201,12 @@ def test_criterion_05_head_locality():
     model = assemble(config)
     params = model.init_params(seed=5)
     x = np.linspace(-np.pi, np.pi, 12)
-    base = forward_batch(model, params, x[None])
+    base, _ = forward_batch(model, params, x[None])
     leaked = 0.0
     for head in model.heads:
         bumped = params.copy()
         bumped[head.theta_slice] += 0.3
-        out = forward_batch(model, bumped, x[None])
+        out, _ = forward_batch(model, bumped, x[None])
         for other in model.heads:
             if other.name != head.name:
                 leaked = max(leaked, float(np.max(np.abs(out[other.name] - base[other.name]))))

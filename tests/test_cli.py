@@ -7,6 +7,7 @@ import pytest
 import qmtl.model
 import qmtl.noise
 from qmtl.cli import eval_logits, head_model_from, main, parse_experiment, task_specs_from
+from qmtl.errors import ConfigError
 from qmtl.presets import PRESETS, get_preset
 
 
@@ -641,3 +642,41 @@ def test_every_preset_survives_a_json_round_trip(tmp_path, capsys, name):
         for head in config["heads"]:
             del head["outputs"]
         assert parse_experiment(config).model == parse_experiment(get_preset(name)).model
+
+
+@pytest.fixture
+def classical_checkpoint(tmp_path):
+    path = tmp_path / "classical.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, variant="classical")))
+    out = tmp_path / "classical-run"
+    assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 0
+    return path, out / "checkpoint.json"
+
+
+@pytest.mark.parametrize("flags", [["--shots", "3"], ["--p1", "0.5"]], ids=["shots", "p1"])
+def test_eval_refuses_shots_and_noise_on_a_classical_model(classical_checkpoint, tmp_path,
+                                                           capsys, flags):
+    _, checkpoint = classical_checkpoint
+    out = tmp_path / "eval"
+    err = _fails_cleanly(["eval", "--checkpoint", str(checkpoint), "--out-dir", str(out)]
+                         + flags, capsys)
+    assert "qmtl variant only" in err
+    assert not out.exists()
+
+
+def test_sweep_noise_refuses_a_classical_model(classical_checkpoint, tmp_path, capsys,
+                                               monkeypatch):
+    config, _ = classical_checkpoint
+    monkeypatch.setattr("qmtl.cli.train", lambda *args, **kwargs: pytest.fail("trained"))
+    out = tmp_path / "sweep"
+    err = _fails_cleanly(["sweep", "noise", "--config", str(config), "--grid", "0,0.05",
+                          "--out-dir", str(out)], capsys)
+    assert "qmtl variant only" in err and "'classical'" in err
+    assert not out.exists()
+
+
+def test_eval_logits_refuses_shots_on_an_hqnn_model():
+    config = dict(TINY_CONFIG, variant="hqnn")
+    model = head_model_from(config, task_specs_from(config))
+    with pytest.raises(ConfigError, match="qmtl variant only"):
+        eval_logits(model, model.init_params(0), np.zeros((2, 4)), shots=8)

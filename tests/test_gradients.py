@@ -226,8 +226,9 @@ def test_adjoint_equals_shift_equals_finite_differences(seed, nq, depth):
     np.testing.assert_allclose(adjoint, numeric, rtol=0, atol=1e-6)
 
 
-def test_loss_gradient_runs_the_circuit_at_most_twice(monkeypatch):
-    config = get_preset("toy")
+@pytest.mark.parametrize("variant", ["qmtl", "hqnn"])
+def test_loss_gradient_runs_the_circuit_once(monkeypatch, variant):
+    config = dict(get_preset("toy"), variant=variant)
     specs = cli.task_specs_from(config)
     train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
     model = cli.head_model_from(config, specs)
@@ -247,4 +248,4 @@ def test_loss_gradient_runs_the_circuit_at_most_twice(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     loss_gradient(model, model.init_params(0), batch.features, batch.labels, specs)
-    assert 1 <= len(runs) <= 2
+    assert len(runs) == 1

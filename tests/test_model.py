@@ -146,11 +146,11 @@ def test_head_locality():
     rng = np.random.default_rng(0)
     params = model.init_params(seed=2)
     x = rng.uniform(-np.pi, np.pi, 12)
-    base = forward_batch(model, params, x[None])
+    base, _ = forward_batch(model, params, x[None])
     for head in model.heads:
         bumped = params.copy()
         bumped[head.theta_slice] += 0.2
-        out = forward_batch(model, bumped, x[None])
+        out, _ = forward_batch(model, bumped, x[None])
         for other in model.heads:
             if other.name == head.name:
                 assert np.max(np.abs(out[other.name] - base[other.name])) > 1e-6
@@ -179,9 +179,9 @@ def test_forward_batch_matches_single():
     params = model.init_params(seed=0)
     params[24:] = rng.normal(1.0, 0.1, model.num_calibration_params)
     features = rng.uniform(-np.pi, np.pi, (3, 12))
-    batch = forward_batch(model, params, features)
+    batch, _ = forward_batch(model, params, features)
     for i in range(3):
-        single = forward_batch(model, params, features[i][None])
+        single, _ = forward_batch(model, params, features[i][None])
         for name in model.task_names:
             np.testing.assert_allclose(batch[name][i], single[name][0], atol=1e-13)
 
@@ -190,7 +190,7 @@ def test_forward_with_shots_approximates_exact():
     model = assemble(_three_task_config())
     params = model.init_params(seed=3)
     x = np.zeros(12)
-    exact = forward_batch(model, params, x[None])
+    exact, _ = forward_batch(model, params, x[None])
     sampled = forward(model, params, x[None], shots=200_000, seed=0)
     for name in model.task_names:
         np.testing.assert_allclose(sampled[name], exact[name], atol=0.02)
@@ -213,10 +213,10 @@ def test_classical_head_model_grads():
     rng = np.random.default_rng(0)
     params = model.init_params(seed=0)
     features = rng.normal(size=(6, 4))
-    out = model.forward_batch(params, features)
+    out, state = model.forward_state(params, features)
     assert out["u"].shape == (6, 1) and out["v"].shape == (6, 3)
     dlogits = {"u": rng.normal(size=(6, 1)), "v": rng.normal(size=(6, 3))}
-    grad = model.backward_batch(params, features, dlogits)
+    grad = model.backward_batch(params, state, dlogits)
     eps = 1e-6
 
     def scalar(p):
@@ -237,7 +237,8 @@ def test_hqnn_head_model_grads():
     params = model.init_params(seed=0)
     features = rng.normal(size=(3, 5))
     dlogits = {"u": rng.normal(size=(3, 1)), "v": rng.normal(size=(3, 2))}
-    grad = model.backward_batch(params, features, dlogits)
+    _, state = model.forward_state(params, features)
+    grad = model.backward_batch(params, state, dlogits)
     eps = 1e-6
 
     def scalar(p):
@@ -249,6 +250,34 @@ def test_hqnn_head_model_grads():
         up[i] += eps
         dn[i] -= eps
         assert grad[i] == pytest.approx((scalar(up) - scalar(dn)) / (2 * eps), abs=2e-5)
+
+
+def test_qmtl_head_model_grads():
+    """backward_batch from the state of one forward_state, against central
+    differences of the logits; the state can be taken twice."""
+    model = QmtlHeadModel(_three_task_config(calibration="affine"))
+    rng = np.random.default_rng(5)
+    params = model.init_params(seed=0)
+    params[model.model.num_circuit_params:] += rng.normal(0.0, 0.1,
+                                                          model.model.num_calibration_params)
+    features = rng.uniform(-np.pi, np.pi, (3, 12))
+    # "beta" absent: its head contributes nothing
+    dlogits = {"alpha": rng.normal(size=(3, 1)), "gamma": rng.normal(size=(3, 3))}
+    logits, state = model.forward_state(params, features)
+    assert logits.keys() == model.forward_batch(params, features).keys()
+    grad = model.backward_batch(params, state, dlogits)
+    np.testing.assert_array_equal(model.backward_batch(params, state, dlogits), grad)
+    eps = 1e-6
+
+    def scalar(p):
+        o = model.forward_batch(p, features)
+        return sum(float(np.sum(o[n] * dlogits[n])) for n in dlogits)
+
+    for i in range(model.num_params):
+        up, dn = params.copy(), params.copy()
+        up[i] += eps
+        dn[i] -= eps
+        assert grad[i] == pytest.approx((scalar(up) - scalar(dn)) / (2 * eps), abs=1e-5)
 
 
 @pytest.mark.parametrize("d, q, outputs, expected", [(5, 4, [1, 2], 70), (12, 4, [1, 1, 3], 101)],

@@ -160,6 +160,28 @@ def test_apply_cnot_matches_dense_oracle():
                                    expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("num_qubits", range(2, 8))
+def test_apply_cnot_matches_dense_oracle_on_every_pair(num_qubits):
+    """Every (control, target) pair, on a single state and on a batch; the
+    result is a C-ordered new array and the input is left as it was."""
+    rng = np.random.default_rng(40 + num_qubits)
+    dim, rows = 1 << num_qubits, 3
+    for control in range(num_qubits):
+        for target in range(num_qubits):
+            if control == target:
+                continue
+            amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+            before = amps.copy()
+            dense = dense_cnot(control, target, num_qubits)
+            single = apply_cnot_array(amps[0], control, target, num_qubits)
+            batch = apply_cnot_array(amps, control, target, num_qubits)
+            np.testing.assert_array_equal(single, dense @ amps[0])
+            np.testing.assert_array_equal(batch, amps @ dense.T)
+            for out in (single, batch):
+                assert out.flags.c_contiguous
+            np.testing.assert_array_equal(amps, before)
+
+
 def test_cnot_validation():
     with pytest.raises(ValueError):
         GateOp("cnot", (1, 1))
@@ -243,6 +265,25 @@ def test_sample_expectation_x_basis():
     state = apply_gate(zero_state(1), "h", 0)
     (est,) = sample_expectation(state, [pauli("X0")], shots=100, seed=0)
     assert est == pytest.approx(1.0)
+
+
+def test_sample_expectation_y_basis():
+    # Rx(-pi/2)|0> = |+i>, the +1 eigenstate of Y: every shot reads +1
+    state = apply_gate(zero_state(1), "rx", 0, (-np.pi / 2,))
+    (est,) = sample_expectation(state, [pauli("Y0")], shots=100, seed=0)
+    assert est == 1.0
+
+
+def test_sample_expectation_mixed_basis_group():
+    state = random_state(3, seed=11)
+    group = [pauli("X0*Y1"), pauli("Z2")]
+    shots = 200_000
+    estimates = sample_expectation(state, group, shots=shots, seed=2)
+    for obs, est in zip(group, estimates):
+        exact = expectation(state, obs)
+        assert abs(exact) < 0.9  # keeps the binomial SE away from zero
+        se = np.sqrt((1.0 - exact ** 2) / shots)
+        assert abs(est - exact) < 6 * se
 
 
 def test_sample_expectation_deterministic():

@@ -7,10 +7,11 @@ Items: per circuit preset, the assembled QMTL circuit (every op's kind,
 qubits and parameter refs) and each head's slices and observables; per head
 variant and preset, the initial parameters at seeds 0 and 3,
 ``forward_batch``, ``loss_gradient`` and ``backward_batch`` (all tasks, and
-the first alone) on 16 training rows; per variant a 3-epoch toy training run;
-``cli.eval_logits`` on 8 toy rows exact, with 4096 shots and with
-p1 = p2 = 0.01 depolarizing noise (the density-matrix engine); and on 2
-glue-like rows with that noise over 50 trajectories (the trajectory engine).
+the first alone, both from the state of one ``forward_state``) on 16
+training rows; per variant a 3-epoch toy training run; ``cli.eval_logits``
+on 8 toy rows exact, with 4096 shots and with p1 = p2 = 0.01 depolarizing
+noise (the density-matrix engine); and on 2 glue-like rows with that noise
+over 50 trajectories (the trajectory engine).
 """
 
 import hashlib
@@ -83,8 +84,9 @@ for preset in ("toy", "glue-like", "chexpert-like"):
         items[f"{tag}/init"] = [model.init_params(0), params]
         items[f"{tag}/forward"] = model.forward_batch(params, x)
         items[f"{tag}/loss_gradient"] = loss_gradient(model, params, x, labels, specs)
-        items[f"{tag}/backward"] = [model.backward_batch(params, x, dlogits),
-                                    model.backward_batch(params, x, first)]
+        _, state = model.forward_state(params, x)
+        items[f"{tag}/backward"] = [model.backward_batch(params, state, dlogits),
+                                    model.backward_batch(params, state, first)]
 
 for variant in VARIANTS:
     config, specs, model, train_data, val_data = setup("toy", variant)
