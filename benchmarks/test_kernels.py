@@ -1,7 +1,8 @@
 """Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, of
 one noisy block on a density matrix at Q = 4 and 10, of shot sampling
 at Q = 4 and 10, and of one training step's circuit gradient
-(``loss_gradient``) on a ``toy`` and a ``glue-like`` batch.
+(``loss_gradient``) and its reverse sweep alone (``adjoint_reverse``) on a
+``toy`` and a ``glue-like`` batch.
 
 Run from the repository root with
 
@@ -19,7 +20,9 @@ stores each feature row's.  Shot sampling draws 4096 shots of one state's
 1-D amplitudes, as ``model.forward`` does per row and commuting group.
 The gradient cases take the ``toy`` preset's first 64 training rows with
 every task, and the first 32 labeled ``glue-like`` rows of its first task,
-shaped like the one-task batch of a ``task_sampled`` step.
+shaped like the one-task batch of a ``task_sampled`` step; the reverse
+sweep cases time ``adjoint_reverse`` from one recorded forward run of that
+batch.
 """
 
 import numpy as np
@@ -28,7 +31,7 @@ import pytest
 from qmtl import cli
 from qmtl.circuit import Circuit, GateOp, _run, const
 from qmtl.data import gen_synthetic
-from qmtl.gradients import loss_gradient
+from qmtl.gradients import adjoint_reverse, loss_gradient
 from qmtl.losses import MISSING
 from qmtl.noise import _density_channel
 from qmtl.presets import get_preset
@@ -111,9 +114,13 @@ def test_sample_expectation(benchmark, nq):
     assert all(-1.0 <= est <= 1.0 for est in out)
 
 
-@pytest.mark.parametrize("preset,rows,one_task", [("toy", 64, False), ("glue-like", 32, True)],
-                         ids=["toy-B64", "glue-like-B32"])
-def test_loss_gradient(benchmark, preset, rows, one_task):
+GRADIENT_BATCHES = pytest.mark.parametrize(
+    "preset,rows,one_task", [("toy", 64, False), ("glue-like", 32, True)],
+    ids=["toy-B64", "glue-like-B32"])
+
+
+def _gradient_batch(preset, rows, one_task):
+    """(head model, task specs, batch) of a ``toy`` or ``glue-like`` step."""
     config = get_preset(preset)
     specs = cli.task_specs_from(config)
     train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
@@ -121,9 +128,23 @@ def test_loss_gradient(benchmark, preset, rows, one_task):
     if one_task:
         specs = specs[:1]
         labeled = np.flatnonzero(np.asarray(train_data.labels[specs[0].name]) != MISSING)
-        batch = train_data.subset(labeled[:rows])
-    else:
-        batch = train_data.subset(np.arange(rows))
+        return model, specs, train_data.subset(labeled[:rows])
+    return model, specs, train_data.subset(np.arange(rows))
+
+
+@GRADIENT_BATCHES
+def test_loss_gradient(benchmark, preset, rows, one_task):
+    model, specs, batch = _gradient_batch(preset, rows, one_task)
     params = model.init_params(0)
     _, grad = benchmark(loss_gradient, model, params, batch.features, batch.labels, specs)
     assert grad.shape == params.shape and np.all(np.isfinite(grad))
+
+
+@GRADIENT_BATCHES
+def test_adjoint_reverse(benchmark, preset, rows, one_task):
+    model, _, batch = _gradient_batch(preset, rows, one_task)
+    _, run = model.forward_state(model.init_params(0), batch.features)
+    weights = np.random.default_rng(0).normal(size=run.raw.shape)
+    dtheta, dinputs = benchmark(adjoint_reverse, model.model.circuit, run, weights)
+    assert dtheta.shape == (model.model.circuit.num_trainable,)
+    assert np.all(np.isfinite(dtheta)) and dinputs.shape == batch.features.shape

@@ -242,13 +242,20 @@ class CircuitRun(NamedTuple):
     """One run of a (B, d) feature matrix: the checked bindings, the
     observables, their (B, n_observables) expectations ``raw`` and the final
     (B, 2**Q) amplitudes, where the adjoint reverse sweep
-    (``gradients.adjoint_reverse``) starts."""
+    (``gradients.adjoint_reverse``) starts.
+
+    ``blocks`` are the ``gate_blocks`` the run applied, and ``matrices`` each
+    block's fused 2x2 (or (B, 2, 2)) matrix, None for a CNOT; the reverse
+    sweep un-computes the state with them.  A run with an ``override`` records
+    no matrices (``matrices`` is None)."""
 
     theta: np.ndarray
     features: np.ndarray
     observables: tuple
     raw: np.ndarray
     amps: np.ndarray
+    blocks: tuple
+    matrices: Optional[tuple]
 
 
 def run_batch(
@@ -261,15 +268,25 @@ def run_batch(
     """The ``CircuitRun`` of a batch of feature rows, from one ``_run``.
 
     With an ``override`` the amplitudes are those of the shifted circuit, so
-    only ``raw`` is of use; the reverse sweep needs a run without one.
+    only ``raw`` is of use; no block matrices are recorded, and the reverse
+    sweep refuses the run.
     """
     theta, features = bind(circuit, theta, features, observables)
+    blocks = tuple(gate_blocks(circuit))
+    matrices = []
+
+    def record(amps, block, mat):
+        matrices.append(mat)
+        return amps
+
     amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
-                override=override)
+                override=override, blocks=blocks,
+                after_block=None if override else record)
     raw = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
         raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return CircuitRun(theta, features, tuple(observables), raw, amps)
+    return CircuitRun(theta, features, tuple(observables), raw, amps, blocks,
+                      None if override else tuple(matrices))
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

@@ -3,11 +3,14 @@ uses, and the independent oracles that check it.
 
 Training differentiates the circuit by the adjoint method, with one circuit
 run per step: the forward that gives the logits (``circuit.run_batch``)
-keeps its final state, and ``adjoint_reverse`` sweeps back from it,
-un-computing the state one fused gate block (``circuit.gate_blocks``) at a
-time, so its cost does not grow with the number of parameters.
-``adjoint_vjp`` is the two composed, for a bare circuit.  The
-parameter-shift Jacobians (exact for Pauli rotations, and runnable on
+keeps its final state and each fused gate block's matrix
+(``circuit.gate_blocks``), and ``adjoint_reverse`` sweeps back from it,
+un-computing the state one block at a time with the recorded U^dagger, so
+its cost does not grow with the number of parameters.  Within a block the
+sweep carries one (B, 2, 2) cross matrix of the adjoint and forward states
+back through the block's rotations, reading each angle's derivative off two
+of its entries.  ``adjoint_vjp`` is the two composed, for a bare circuit.
+The parameter-shift Jacobians (exact for Pauli rotations, and runnable on
 hardware) and central finite differences stay as oracles for ``qmtl
 gradcheck`` and the tests.
 
@@ -30,7 +33,6 @@ from .circuit import (
     _resolve,
     evaluate_expectations,
     evaluate_expectations_batch,
-    gate_blocks,
     run_batch,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
@@ -140,21 +142,23 @@ _FACTORS = {
 }
 
 
-def _dagger(mat: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(mat, -1, -2))
-
-
-def _factors(op, theta: np.ndarray, features: np.ndarray) -> list:
-    """(matrix, generator, ParamRef) per factor of a 1-qubit gate, in acting order."""
-    if op.kind in sv.FIXED_GATES:
-        return [(sv.FIXED_GATES[op.kind], None, None)]
-    if op.kind not in _FACTORS:
-        raise UnsupportedGateError(f"no adjoint rule for gate {op.kind!r}")
+def _reversed_factors(circuit: Circuit, block: tuple) -> list:
+    """(kind, generator, ParamRef) per factor of a 1-qubit block, last acting
+    first, through the first acting factor with a trainable or input angle;
+    empty when no factor has one.  A fixed gate is one factor with neither
+    generator nor angle."""
     out = []
-    for kind, axis, slot in _FACTORS[op.kind]:
-        ref = op.params[slot]
-        mat = sv.gate_matrix(kind, [_resolve(ref, theta, features)])
-        out.append((mat, sv.PAULI_MATRICES[axis], ref))
+    for op_idx in reversed(block):
+        op = circuit.ops[op_idx]
+        if op.kind in sv.FIXED_GATES:
+            out.append((op.kind, None, None))
+        elif op.kind in _FACTORS:
+            out.extend((kind, axis, op.params[slot])
+                       for kind, axis, slot in reversed(_FACTORS[op.kind]))
+        else:
+            raise UnsupportedGateError(f"no adjoint rule for gate {op.kind!r}")
+    while out and (out[-1][2] is None or out[-1][2].kind == "const"):
+        out.pop()
     return out
 
 
@@ -171,25 +175,56 @@ def _cross(psi: np.ndarray, lam: np.ndarray, qubit: int, num_qubits: int) -> np.
     return cross
 
 
+def _pauli_pick(cross: np.ndarray, axis: str) -> np.ndarray:
+    """Im <lam|P|psi> per row for the Pauli ``axis`` P, from the cross matrix."""
+    if axis == "Z":
+        return np.imag(cross[:, 0, 0] - cross[:, 1, 1])
+    if axis == "X":
+        return np.imag(cross[:, 0, 1] + cross[:, 1, 0])
+    return np.real(cross[:, 1, 0] - cross[:, 0, 1])
+
+
+def _step_back(cross: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The cross matrix of the states before the gate ``mat``: mat^T C conj(mat).
+
+    A shared (2, 2) ``mat`` is one (B, 4) @ (4, 4) product with
+    kron(mat, conj(mat)); a per-row (B, 2, 2) one is written out, since a
+    stacked 2x2 ``@`` costs far more than its few elementwise products.
+    """
+    if mat.ndim == 2:
+        kron = (mat[:, None, :, None] * np.conj(mat)[None, :, None, :]).reshape(4, 4)
+        return (cross.reshape(-1, 4) @ kron).reshape(cross.shape)
+    right = np.conj(mat)
+    right = cross[:, :, 0, None] * right[:, None, 0] + cross[:, :, 1, None] * right[:, None, 1]
+    return mat[:, 0, :, None] * right[:, None, 0] + mat[:, 1, :, None] * right[:, None, 1]
+
+
 def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> tuple:
-    """``(dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b, from the
-    final amplitudes of a forward ``run`` (``circuit.run_batch``) of
-    ``circuit``; the circuit is not run again.
+    """``(dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b, from a
+    forward ``run`` (``circuit.run_batch``) of ``circuit``: its final
+    amplitudes and its recorded blocks and block matrices.  The circuit is not
+    run again.
 
     ``dtheta`` is dL/dtheta summed over rows and over every occurrence of a
     reused slot, and ``dinputs`` is the per-row (B, n_inputs) dL/d(input
-    angle).
+    angle).  Raises ValueError for a run made with an ``override``, which
+    records no block matrices.
 
     Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): form
-    lambda = sum_o w_o P_o |psi>, then walk the blocks of ``gate_blocks`` in
-    reverse, applying each block's U^dagger to both psi and lambda.  A
-    rotation exp(-i a G / 2) followed, inside its block, by the factors V
-    contributes Im <lambda|V G V^dagger|psi>, taken at the block's output, so
-    a block costs one ``_cross`` and one U^dagger on each of psi and lambda,
-    however many gates it holds.  Intermediate states are un-computed, never
-    stored, so memory stays at psi, lambda and one scratch array; the run's
-    own amplitudes are left as they are.
+    lambda = sum_o w_o P_o |psi>, then walk the run's blocks in reverse,
+    un-computing psi and lambda with each block's recorded U^dagger.  Within
+    a 1-qubit block the sweep carries the (B, 2, 2) cross matrix
+    C = sum conj(lambda_i) psi_j (``_cross``), taken once at the block's
+    output, back through the block's factors, last acting first.  A rotation
+    exp(-i a P / 2) contributes Im <lambda|P|psi> at its own output, a pick
+    of two entries of C (``_pauli_pick``); C then steps back past the factor
+    g as g^T C conj(g) (``_step_back``).  Intermediate states are
+    un-computed, never stored, so memory stays at psi, lambda and one scratch
+    array; the run's amplitudes and matrices are left as they are.
     """
+    if run.matrices is None:
+        raise ValueError("the run was made with an override and records no block "
+                         "matrices; the reverse sweep needs a run without one")
     theta, features, psi = run.theta, run.features, run.amps
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
@@ -199,28 +234,27 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
 
     dtheta = np.zeros(circuit.num_trainable)
     dinputs = np.zeros((psi.shape[0], circuit.num_inputs))
-    for block in reversed(gate_blocks(circuit)):
+    for block, mat in zip(reversed(run.blocks), reversed(run.matrices)):
         op = circuit.ops[block[0]]
-        if op.kind == "cnot":  # its own inverse
+        if mat is None:  # a CNOT, its own inverse
             psi = sv.apply_cnot_array(psi, op.qubits[0], op.qubits[1], nq)
             lam = sv.apply_cnot_array(lam, op.qubits[0], op.qubits[1], nq)
             continue
         qubit = op.qubits[0]
-        cross = None
-        after = np.eye(2)  # the block's factors that act after the current one
-        for op_idx in reversed(block):
-            for mat, generator, ref in reversed(_factors(circuit.ops[op_idx], theta, features)):
-                if ref is not None and ref.kind != "const":
-                    if cross is None:
-                        cross = _cross(psi, lam, qubit, nq)
-                    rotated = after @ generator @ _dagger(after)
-                    grad = np.imag(np.sum(rotated * cross, axis=(-2, -1)))
-                    if ref.kind == "theta":
-                        dtheta[ref.index] += grad.sum()
-                    else:
-                        dinputs[:, ref.index] += grad
-                after = after @ mat
-        inverse = _dagger(after)
+        factors = _reversed_factors(circuit, block)
+        if factors:
+            cross = _cross(psi, lam, qubit, nq)
+        for k, (kind, axis, ref) in enumerate(factors, 1):
+            if ref is not None and ref.kind != "const":
+                grad = _pauli_pick(cross, axis)
+                if ref.kind == "theta":
+                    dtheta[ref.index] += grad.sum()
+                else:
+                    dinputs[:, ref.index] += grad
+            if k < len(factors):
+                angles = [] if ref is None else [_resolve(ref, theta, features)]
+                cross = _step_back(cross, sv.gate_matrix(kind, angles))
+        inverse = np.conj(np.swapaxes(mat, -1, -2))
         psi = sv.apply_matrix(psi, inverse, qubit, nq)
         lam = sv.apply_matrix(lam, inverse, qubit, nq)
     return dtheta, dinputs

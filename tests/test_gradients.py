@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qmtl import circuit as circuit_module
 from qmtl import cli
-from qmtl.circuit import Circuit, GateOp, feature, random_circuit, trainable
+from qmtl.circuit import Circuit, GateOp, const, feature, random_circuit, trainable
 from qmtl.data import gen_synthetic
 from qmtl.gradients import (
+    adjoint_reverse,
     adjoint_vjp,
     finite_diff_jacobian,
     input_shift_jacobian_batch,
@@ -224,6 +225,64 @@ def test_adjoint_equals_shift_equals_finite_differences(seed, nq, depth):
     numeric = weights[0] @ finite_diff_jacobian(circuit, theta, row, observables)
     np.testing.assert_allclose(adjoint, shift, rtol=0, atol=1e-10)
     np.testing.assert_allclose(adjoint, numeric, rtol=0, atol=1e-6)
+
+
+def _input_bound_rot_circuit(nq):
+    """Per qubit a Hadamard, rot gates with input-bound slots, a reused
+    trainable angle and a constant, and a CNOT ring when nq > 1."""
+    ops = []
+    for q in range(nq):
+        ops += [GateOp("h", (q,)),
+                GateOp("rot", (q,), (feature(0), trainable(0), feature(1))),
+                GateOp("rx", (q,), (trainable(1),))]
+    ops += [GateOp("cnot", (q, (q + 1) % nq)) for q in range(nq) if nq > 1]
+    for q in range(nq):
+        ops += [GateOp("rot", (q,), (trainable(2), const(0.4), feature(2))),
+                GateOp("z", (q,)),
+                GateOp("ry", (q,), (feature(0),)),
+                GateOp("rz", (q,), (trainable(0),))]
+    return Circuit(nq, ops, 3, 3)
+
+
+@pytest.mark.parametrize("nq,batch", [(1, 3), (3, 1), (1, 1)])
+def test_adjoint_matches_shift_jacobians_at_one_qubit_and_one_row(nq, batch):
+    rng = np.random.default_rng(10 * nq + batch)
+    circuit = _input_bound_rot_circuit(nq)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    features = rng.uniform(-np.pi, np.pi, (batch, circuit.num_inputs))
+    observables = [pauli("Z0"), pauli("X0"), pauli(f"Y{nq - 1}")]
+    weights = rng.normal(size=(batch, len(observables)))
+    _, dtheta, dinputs = adjoint_vjp(circuit, theta, features, observables, weights)
+    shift = param_shift_jacobian_batch(circuit, theta, features, observables)
+    np.testing.assert_allclose(dtheta, np.einsum("bo,bop->p", weights, shift),
+                               rtol=0, atol=1e-10)
+    inputs = input_shift_jacobian_batch(circuit, theta, features, observables)
+    np.testing.assert_allclose(dinputs, np.einsum("bo,boi->bi", weights, inputs),
+                               rtol=0, atol=1e-10)
+
+
+def test_adjoint_reverse_is_repeatable_and_leaves_the_run_as_it_is():
+    circuit, theta, features, observables, weights = _random_problem(3)
+    run = circuit_module.run_batch(circuit, theta, features, observables)
+    amps = run.amps.copy()
+    matrices = [None if mat is None else mat.copy() for mat in run.matrices]
+    first = adjoint_reverse(circuit, run, weights)
+    second = adjoint_reverse(circuit, run, weights)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    assert np.array_equal(run.amps, amps)
+    assert len(run.matrices) == len(run.blocks) == len(matrices)
+    for recorded, kept in zip(run.matrices, matrices):
+        assert (recorded is None and kept is None) or np.array_equal(recorded, kept)
+
+
+def test_adjoint_reverse_refuses_a_run_with_an_override():
+    circuit, theta, features, observables, weights = _random_problem(0)
+    place = next((op_idx, 0) for op_idx, op in enumerate(circuit.ops) if op.params)
+    run = circuit_module.run_batch(circuit, theta, features, observables, {place: 0.3})
+    assert run.matrices is None
+    with pytest.raises(ValueError, match="override"):
+        adjoint_reverse(circuit, run, weights)
 
 
 @pytest.mark.parametrize("variant", ["qmtl", "hqnn"])
