@@ -27,7 +27,6 @@ from .circuit import (
     const,
     evaluate,
     evaluate_expectations,
-    evaluate_expectations_batch,
     feature,
     group_commuting,
     random_circuit,

@@ -131,20 +131,14 @@ def gate_blocks(circuit: Circuit) -> list:
     return blocks
 
 
-def _block_matrix(circuit: Circuit, block: tuple, theta: np.ndarray, features: np.ndarray,
-                  override: Optional[dict]) -> np.ndarray:
+def _block_matrix(circuit: Circuit, block: tuple, theta: np.ndarray,
+                  features: np.ndarray) -> np.ndarray:
     """Product of the gate matrices of a 1-qubit block; (B, 2, 2) when an
     input angle of a (B, d) feature matrix enters it."""
     mat = None
     for op_idx in block:
         op = circuit.ops[op_idx]
-        angles = [_resolve(ref, theta, features) for ref in op.params]
-        if override:
-            for slot in range(len(angles)):
-                delta = override.get((op_idx, slot))
-                if delta is not None:
-                    angles[slot] = angles[slot] + delta
-        gate = sv.gate_matrix(op.kind, angles)
+        gate = sv.gate_matrix(op.kind, [_resolve(ref, theta, features) for ref in op.params])
         mat = gate if mat is None else gate @ mat
     return mat
 
@@ -154,7 +148,6 @@ def _run(
     circuit: Circuit,
     theta: np.ndarray,
     features: np.ndarray,
-    override: Optional[dict] = None,
     blocks: Optional[list] = None,
     after_block=None,
 ) -> np.ndarray:
@@ -163,9 +156,8 @@ def _run(
     The register may be wider than the circuit (n >= Q): the ops act on its
     qubits 0..Q-1, which are the row bits of a density matrix stored as
     2Q-qubit amplitudes.  ``blocks`` defaults to ``gate_blocks(circuit)``.
-    ``override`` maps (op_index, slot) -> additive angle shift for a single
-    gate occurrence.  ``after_block(amps, block, mat) -> amps`` runs after
-    every block, with the block's 2x2 matrix (None for a CNOT).
+    ``after_block(amps, block, mat) -> amps`` runs after every block, with the
+    block's 2x2 matrix (None for a CNOT).
     """
     nq = amps.shape[-1].bit_length() - 1
     for block in gate_blocks(circuit) if blocks is None else blocks:
@@ -174,7 +166,7 @@ def _run(
             mat = None
             amps = sv.apply_cnot_array(amps, op.qubits[0], op.qubits[1], nq)
         else:
-            mat = _block_matrix(circuit, block, theta, features, override)
+            mat = _block_matrix(circuit, block, theta, features)
             amps = sv.apply_matrix(amps, mat, op.qubits[0], nq)
         if after_block is not None:
             amps = after_block(amps, block, mat)
@@ -219,23 +211,11 @@ def evaluate_expectations(
     theta: Sequence[float],
     features: Sequence[float],
     observables: Sequence[PauliString],
-    override: Optional[dict] = None,
 ) -> np.ndarray:
     """Exact expectation of each observable for one feature row, in the given
     order: row 0 of a batch of one."""
     row = np.asarray(features, dtype=float)[None]
-    return evaluate_expectations_batch(circuit, theta, row, observables, override)[0]
-
-
-def evaluate_expectations_batch(
-    circuit: Circuit,
-    theta: Sequence[float],
-    features: np.ndarray,
-    observables: Sequence[PauliString],
-    override: Optional[dict] = None,
-) -> np.ndarray:
-    """Expectations for a batch of feature rows; returns (B, n_observables)."""
-    return run_batch(circuit, theta, features, observables, override).raw
+    return run_batch(circuit, theta, row, observables).raw[0]
 
 
 class CircuitRun(NamedTuple):
@@ -246,8 +226,7 @@ class CircuitRun(NamedTuple):
 
     ``blocks`` are the ``gate_blocks`` the run applied, and ``matrices`` each
     block's fused 2x2 (or (B, 2, 2)) matrix, None for a CNOT; the reverse
-    sweep un-computes the state with them.  A run with an ``override`` records
-    no matrices (``matrices`` is None)."""
+    sweep un-computes the state with them."""
 
     theta: np.ndarray
     features: np.ndarray
@@ -255,7 +234,7 @@ class CircuitRun(NamedTuple):
     raw: np.ndarray
     amps: np.ndarray
     blocks: tuple
-    matrices: Optional[tuple]
+    matrices: tuple
 
 
 def run_batch(
@@ -263,14 +242,8 @@ def run_batch(
     theta: Sequence[float],
     features: np.ndarray,
     observables: Sequence[PauliString],
-    override: Optional[dict] = None,
 ) -> CircuitRun:
-    """The ``CircuitRun`` of a batch of feature rows, from one ``_run``.
-
-    With an ``override`` the amplitudes are those of the shifted circuit, so
-    only ``raw`` is of use; no block matrices are recorded, and the reverse
-    sweep refuses the run.
-    """
+    """The ``CircuitRun`` of a batch of feature rows, from one ``_run``."""
     theta, features = bind(circuit, theta, features, observables)
     blocks = tuple(gate_blocks(circuit))
     matrices = []
@@ -280,13 +253,11 @@ def run_batch(
         return amps
 
     amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
-                override=override, blocks=blocks,
-                after_block=None if override else record)
+                blocks=blocks, after_block=record)
     raw = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
         raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return CircuitRun(theta, features, tuple(observables), raw, amps, blocks,
-                      None if override else tuple(matrices))
+    return CircuitRun(theta, features, tuple(observables), raw, amps, blocks, tuple(matrices))
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

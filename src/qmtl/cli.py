@@ -124,6 +124,33 @@ _DATA_KEYS = {"feature_dim": (REQUIRED, int), "n_train": (None, int), "n_val": (
 _HQNN_KEYS = {"qubits": (HQNN_QUBITS, int)}
 # TrainConfig checks its own values
 _TRAIN_KEYS = {f.name: (f.default, object) for f in fields(TrainConfig)}
+# a `params` scaling config: the experiment's keys, each type-checked but
+# none required, and its `scaling` section
+_SCALING_TOP_KEYS = {key: (None if default is REQUIRED else default, kind)
+                     for key, (default, kind) in _TOP_KEYS.items()}
+_SCALING_KEYS = {"task_counts": (REQUIRED, list), "outputs": (REQUIRED, int),
+                 "layers": (REQUIRED, int), "k_theta": (REQUIRED, int),
+                 "head_layers": (REQUIRED, int), "head_size": (REQUIRED, int)}
+
+
+def _read_section(section, where: str, table: dict) -> dict:
+    """``section`` checked against its key ``table``: every key's value, or
+    its default when absent, or a ConfigError for an unknown or missing key
+    or a value of the wrong type."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {unknown}")
+    return {key: _require(section, key, where, kind) if default is REQUIRED
+            else _optional(section, key, default, where, kind)
+            for key, (default, kind) in table.items()}
+
+
+def _known_variant(variant: str) -> str:
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown head variant {variant!r}; expected one of {VARIANTS}")
+    return variant
 
 
 @dataclass(frozen=True)
@@ -176,26 +203,13 @@ def parse_experiment(config: dict) -> Experiment:
     """``config`` read into an ``Experiment``, or a ConfigError naming the
     first unknown key, missing key, wrong type or value that breaks a rule,
     so that every command refuses the same configs."""
-
-    def read(section, where: str, table: dict) -> dict:
-        if not isinstance(section, dict):
-            raise ConfigError(f"{where} must be an object, got {section!r}")
-        unknown = sorted(set(section) - set(table))
-        if unknown:
-            raise ConfigError(f"unknown {where} keys: {unknown}")
-        return {key: _require(section, key, where, kind) if default is REQUIRED
-                else _optional(section, key, default, where, kind)
-                for key, (default, kind) in table.items()}
-
-    top = read(config, "config", _TOP_KEYS)
-    variant = top["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown head variant {variant!r}; expected one of {VARIANTS}")
+    top = _read_section(config, "config", _TOP_KEYS)
+    variant = _known_variant(top["variant"])
     if not top["heads"]:
         raise ConfigError("config 'heads' must list at least one head")
     specs, heads = [], []
     for i, entry in enumerate(top["heads"]):
-        h = read(entry, f"head {i}", _HEAD_KEYS)
+        h = _read_section(entry, f"head {i}", _HEAD_KEYS)
         spec = TaskSpec(
             name=h["name"], kind=h["kind"], num_classes=h["num_classes"],
             lambda_weight=h["lambda"], metrics=tuple(h["metrics"]), loss=h["loss"],
@@ -217,13 +231,13 @@ def parse_experiment(config: dict) -> Experiment:
     if len(set(names)) != len(names):
         raise ConfigError(f"head names must be unique, got {names}")
 
-    d = read(top["data"], "data", _DATA_KEYS)
+    d = _read_section(top["data"], "data", _DATA_KEYS)
     # checked with or without the data sizes
     data = SyntheticSpec(tasks=specs, **{k: 1 if v is None else v for k, v in d.items()})
     model = None
     # an encoder is checked whenever given, and the qmtl variant needs one
     if variant == "qmtl" or top["encoder"] is not None:
-        e = read(_require(config, "encoder"), "encoder", _ENCODER_KEYS)
+        e = _read_section(_require(config, "encoder"), "encoder", _ENCODER_KEYS)
         encoder = SharedEncoderConfig(e["qubits"], e["layers"], e["entangling"])
         if d["feature_dim"] != encoder.feature_dim:
             raise ConfigError(f"data.feature_dim is {d['feature_dim']}, but the encoder "
@@ -233,8 +247,8 @@ def parse_experiment(config: dict) -> Experiment:
     exp = Experiment(
         raw=config, variant=variant, specs=tuple(specs), feature_dim=d["feature_dim"],
         model=model, data=None if None in (d["n_train"], d["n_val"]) else data,
-        train=TrainConfig(**read(top["train"], "train", _TRAIN_KEYS)),
-        hqnn_qubits=read(top["hqnn"], "hqnn", _HQNN_KEYS)["qubits"],
+        train=TrainConfig(**_read_section(top["train"], "train", _TRAIN_KEYS)),
+        hqnn_qubits=_read_section(top["hqnn"], "hqnn", _HQNN_KEYS)["qubits"],
     )
     exp.budget()  # every report holds it, so a config it cannot count is refused here
     return exp
@@ -372,14 +386,14 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
 def cmd_params(args) -> int:
     config = load_config(args)
     if "scaling" in config:
-        s = _require(config, "scaling", kind=dict)
-        counts = _require(s, "task_counts", "scaling", list)
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in counts):
-            raise ConfigError(f"scaling 'task_counts' must be integers, got {counts!r}")
-        rows = scaling_table(counts, **{
-            key: _require(s, key, "scaling", int)
-            for key in ("outputs", "layers", "k_theta", "head_layers", "head_size")
-        })
+        _known_variant(_read_section(config, "config", _SCALING_TOP_KEYS)["variant"])
+        s = _read_section(config["scaling"], "scaling", _SCALING_KEYS)
+        counts = s.pop("task_counts")
+        if not counts or not all(isinstance(t, int) and not isinstance(t, bool)
+                                 for t in counts):
+            raise ConfigError(f"scaling 'task_counts' must be a non-empty list of integers, "
+                              f"got {counts!r}")
+        rows = scaling_table(counts, **s)
         print("T\td\tP_C\tP_Q\tratio\tratio*T")
         for row in rows:
             print(f"{row['T']}\t{row['d']}\t{row['P_C']}\t{row['P_Q']}"
@@ -423,7 +437,7 @@ def cmd_gradcheck(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     shift = SHIFT * (1.01 if args.corrupt_shift else 1.0)
-    seeds = _nonnegative_seeds(_parse_int_list(args.seeds), "--seeds")
+    seeds = _nonnegative_seeds(_parse_list(args.seeds, "--seeds"), "--seeds")
     print("seed\tmax_dev\tadjoint_dev\tstatus")
     ok = True
     for seed in seeds:
@@ -518,11 +532,17 @@ _SWEEP_FIXED_COLUMNS = ("kind", "seed", "L", "L_h", "entangling", "p1", "p2",
                         "P_shared", "P_Q", "P_C")
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_list(text: str, flag: str, kind=int) -> list:
+    """The comma-separated ``kind`` values that ``flag`` gave, or a
+    ConfigError for a bad value or a list with none."""
     try:
-        return [int(v) for v in str(text).split(",") if v != ""]
+        values = [kind(v) for v in str(text).split(",") if v != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} expects comma-separated "
+                          f"{'integers' if kind is int else 'numbers'}, got {text!r}")
+    return values
 
 
 def _nonnegative_seeds(seeds: list, what: str) -> list:
@@ -532,13 +552,6 @@ def _nonnegative_seeds(seeds: list, what: str) -> list:
         if seed < 0:
             raise ConfigError(f"{what} must be >= 0, got {seed}")
     return seeds
-
-
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _sweep_columns(specs) -> list:
@@ -596,13 +609,13 @@ def cmd_sweep(args) -> int:
     if args.kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {args.kind!r}; expected one of {SWEEP_KINDS}")
     base = parse_experiment(load_config(args))
-    seeds = _nonnegative_seeds(_parse_int_list(args.seeds), "--seeds")
+    seeds = _nonnegative_seeds(_parse_list(args.seeds, "--seeds"), "--seeds")
     if args.seed is not None:
         seeds = _nonnegative_seeds([args.seed], "--seed")
 
     rows = []
     if args.kind == "noise":
-        grid = _parse_float_list(args.grid) if args.grid else [0.0, 0.01, 0.05, 0.1, 0.2]
+        grid = _parse_list(args.grid, "--grid", float) if args.grid else [0.0, 0.01, 0.05, 0.1, 0.2]
         # checked before any training; each seed gets its own noise stream
         noises = [_noise_spec(p, p, args.trajectories, 0) for p in grid]
         checkpoint = None if args.checkpoint is None else read_checkpoint(Path(args.checkpoint))
@@ -630,15 +643,13 @@ def cmd_sweep(args) -> int:
                              **_metric_cells(report, specs)})
     else:
         if args.kind == "depth-L":
-            grid = _parse_int_list(args.grid) if args.grid else [2, 3, 4]
+            grid = _parse_list(args.grid, "--grid") if args.grid else [2, 3, 4]
             configs = [_rebuild_config(base.raw, layers=L) for L in grid]
         elif args.kind == "depth-Lh":
-            grid = _parse_int_list(args.grid) if args.grid else [1, 2]
+            grid = _parse_list(args.grid, "--grid") if args.grid else [1, 2]
             configs = [_rebuild_config(base.raw, head_layers=Lh) for Lh in grid]
         else:
             configs = [_rebuild_config(base.raw, entangling=flag) for flag in (True, False)]
-        if not configs:
-            raise ConfigError("empty sweep grid")
         # every grid point is parsed, and so checked, before any training
         for exp in [parse_experiment(config) for config in configs]:
             encoder = exp.raw["encoder"]

@@ -12,7 +12,9 @@ back through the block's rotations, reading each angle's derivative off two
 of its entries.  ``adjoint_vjp`` is the two composed, for a bare circuit.
 The parameter-shift Jacobians (exact for Pauli rotations, and runnable on
 hardware) and central finite differences stay as oracles for ``qmtl
-gradcheck`` and the tests.
+gradcheck`` and the tests.  A shift Jacobian runs, per gate occurrence, a
+copy of the circuit with that angle shifted (``_shifted``), built from the
+gate-factor table ``_FACTORS`` that the sweep also walks.
 
 A trainable index referenced by m gate occurrences is differentiated by
 summing over its occurrences (product rule); parameter reuse in the shared
@@ -29,16 +31,26 @@ from . import statevector as sv
 from .circuit import (
     Circuit,
     CircuitRun,
+    GateOp,
     ROTATION_KINDS,
     _resolve,
+    const,
     evaluate_expectations,
-    evaluate_expectations_batch,
     run_batch,
 )
 from .errors import DegenerateBatchError, UnsupportedGateError
 from .statevector import PauliString
 
 SHIFT = np.pi / 2.0
+
+# the Pauli rotations each gate is made of, in the order they act, as
+# (kind, generator, parameter slot); rot(a, b, g) = rz(g) ry(b) rz(a)
+_FACTORS = {
+    "rx": (("rx", "X", 0),),
+    "ry": (("ry", "Y", 0),),
+    "rz": (("rz", "Z", 0),),
+    "rot": (("rz", "Z", 0), ("ry", "Y", 1), ("rz", "Z", 2)),
+}
 
 
 def _occurrences(circuit: Circuit, kind: str) -> list:
@@ -56,16 +68,36 @@ def _occurrences(circuit: Circuit, kind: str) -> list:
     return occ
 
 
+def _shifted(circuit: Circuit, op_idx: int, slot: int, delta: float) -> Circuit:
+    """A copy of ``circuit`` with the angle of one gate occurrence, slot
+    ``slot`` of op ``op_idx``, shifted by ``delta``.
+
+    The op is split into its Pauli rotations (``_FACTORS``, with the same
+    ParamRefs), and a ``const(delta)`` rotation about the same axis follows
+    the factor of that slot; R_P(delta) R_P(a) = R_P(a + delta).
+    """
+    op = circuit.ops[op_idx]
+    split = []
+    for kind, _, factor_slot in _FACTORS[op.kind]:
+        split.append(GateOp(kind, op.qubits, (op.params[factor_slot],)))
+        if factor_slot == slot:
+            split.append(GateOp(kind, op.qubits, (const(delta),)))
+    ops = [*circuit.ops[:op_idx], *split, *circuit.ops[op_idx + 1:]]
+    return Circuit(circuit.num_qubits, ops, circuit.num_trainable, circuit.num_inputs)
+
+
 def _shift_jacobian(circuit, theta, features, observables, kind, shift):
-    """(B, n_obs, n) shift-rule Jacobian over a (B, d) feature matrix."""
+    """(B, n_obs, n) shift-rule Jacobian over a (B, d) feature matrix: per
+    gate occurrence, the half difference of two runs of a ``_shifted`` copy
+    of the circuit, at +shift and -shift."""
     occ = _occurrences(circuit, kind)
     jac = np.zeros((len(features), len(observables), len(occ)))
     for index, places in enumerate(occ):
-        for place in places:
-            plus = evaluate_expectations_batch(circuit, theta, features, observables,
-                                               {place: shift})
-            minus = evaluate_expectations_batch(circuit, theta, features, observables,
-                                                {place: -shift})
+        for op_idx, slot in places:
+            plus = run_batch(_shifted(circuit, op_idx, slot, shift),
+                             theta, features, observables).raw
+            minus = run_batch(_shifted(circuit, op_idx, slot, -shift),
+                              theta, features, observables).raw
             jac[..., index] += (plus - minus) / 2.0
     return jac
 
@@ -130,16 +162,6 @@ def finite_diff_jacobian(
         minus = evaluate_expectations(circuit, down, features, observables)
         jac[:, j] = (plus - minus) / (2.0 * eps)
     return jac
-
-
-# the Pauli rotations each gate is made of, in the order they act, as
-# (kind, generator, parameter slot); rot(a, b, g) = rz(g) ry(b) rz(a)
-_FACTORS = {
-    "rx": (("rx", "X", 0),),
-    "ry": (("ry", "Y", 0),),
-    "rz": (("rz", "Z", 0),),
-    "rot": (("rz", "Z", 0), ("ry", "Y", 1), ("rz", "Z", 2)),
-}
 
 
 def _reversed_factors(circuit: Circuit, block: tuple) -> list:
@@ -207,8 +229,7 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
 
     ``dtheta`` is dL/dtheta summed over rows and over every occurrence of a
     reused slot, and ``dinputs`` is the per-row (B, n_inputs) dL/d(input
-    angle).  Raises ValueError for a run made with an ``override``, which
-    records no block matrices.
+    angle).
 
     Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): form
     lambda = sum_o w_o P_o |psi>, then walk the run's blocks in reverse,
@@ -222,9 +243,6 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
     un-computed, never stored, so memory stays at psi, lambda and one scratch
     array; the run's amplitudes and matrices are left as they are.
     """
-    if run.matrices is None:
-        raise ValueError("the run was made with an override and records no block "
-                         "matrices; the reverse sweep needs a run without one")
     theta, features, psi = run.theta, run.features, run.amps
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import statevector as sv
-from .circuit import Circuit, _run, bind, evaluate_expectations_batch
+from .circuit import Circuit, _run, bind, run_batch
 from .statevector import MAX_QUBITS, PauliString
 
 
@@ -85,7 +85,7 @@ def noisy_expectations(
     bit-for-bit.
     """
     if noise.p1 == 0.0 and noise.p2 == 0.0:
-        return evaluate_expectations_batch(circuit, theta, features, observables)
+        return run_batch(circuit, theta, features, observables).raw
     theta, features = bind(circuit, theta, features, observables)
     if engine(circuit.num_qubits) == "density_matrix":
         return _density_matrix(circuit, theta, features, observables, noise.p1, noise.p2)

@@ -9,6 +9,7 @@ runs are bit-identical at a fixed seed.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -53,11 +54,20 @@ class TrainConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(f"train {name!r} must be {what}, got {value!r}")
-        if self.cap is not None and (not isinstance(self.cap, numbers.Integral) or self.cap < 1):
-            raise ConfigError(f"train 'cap' must be an integer >= 1 or null, got {self.cap!r}")
-        if not (self.lr > 0 and self.clip_norm > 0):
-            raise ConfigError("lr and clip_norm must be positive")
-        for name, lowest in (("epochs", 1), ("batch_size", 1), ("eval_every", 1), ("seed", 0)):
+        cap = self.cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Integral)
+                                or cap < 1):
+            raise ConfigError(f"train 'cap' must be an integer >= 1 or null, got {cap!r}")
+        for name, ok, rule in (("lr", self.lr > 0, "> 0"),
+                               ("clip_norm", self.clip_norm > 0, "> 0"),
+                               ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                               ("scheduler_factor", 0 < self.scheduler_factor <= 1, "in (0, 1]"),
+                               ("min_lr", self.min_lr >= 0, ">= 0")):
+            if not (ok and math.isfinite(getattr(self, name))):
+                raise ConfigError(f"train {name!r} must be finite and {rule}, "
+                                  f"got {getattr(self, name)!r}")
+        for name, lowest in (("epochs", 1), ("batch_size", 1), ("eval_every", 1), ("seed", 0),
+                             ("scheduler_patience", 0), ("early_stop_patience", 1)):
             if getattr(self, name) < lowest:
                 raise ConfigError(f"train {name!r} must be >= {lowest}, got {getattr(self, name)}")
         if self.protocol not in PROTOCOLS:

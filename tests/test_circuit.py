@@ -13,11 +13,11 @@ from qmtl.circuit import (
     const,
     evaluate,
     evaluate_expectations,
-    evaluate_expectations_batch,
     feature,
     gate_blocks,
     group_commuting,
     random_circuit,
+    run_batch,
     trainable,
 )
 from qmtl.errors import CapacityError
@@ -131,7 +131,7 @@ def test_evaluate_expectations_batch_matches_loop():
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     features = rng.uniform(-np.pi, np.pi, (6, 2))
     observables = [pauli("Z0"), pauli("X1*Z2"), pauli("Y0*Y1")]
-    batch = evaluate_expectations_batch(circuit, theta, features, observables)
+    batch = run_batch(circuit, theta, features, observables).raw
     assert batch.shape == (6, 3)
     for i, row in enumerate(features):
         single = evaluate_expectations(circuit, theta, row, observables)
@@ -148,7 +148,7 @@ def test_observable_outside_register_refused_on_batches(spec):
     features = rng.uniform(-np.pi, np.pi, (2, 2))
     observables = [pauli("Z0"), pauli(spec)]
     with pytest.raises(IndexError):
-        evaluate_expectations_batch(circuit, theta, features, observables)
+        run_batch(circuit, theta, features, observables).raw
     with pytest.raises(IndexError):
         adjoint_vjp(circuit, theta, features, observables, np.ones((2, 2)))
     with pytest.raises(IndexError):
@@ -180,7 +180,7 @@ def test_oversized_batch_refused_before_allocation(num_qubits, rows):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            evaluate_expectations_batch(circuit, [], features, [pauli("Z0")])
+            run_batch(circuit, [], features, [pauli("Z0")]).raw
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

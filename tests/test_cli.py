@@ -50,6 +50,29 @@ def test_params_scaling_table(capsys):
     assert t10[2] == "620" and t10[3] == "40"
 
 
+_BAD_SCALING = {
+    "scaling-key": (lambda cfg: cfg["scaling"].update(typo_key=5), "unknown scaling keys"),
+    "top-key": (lambda cfg: cfg.update(typo_key=5), "unknown config keys"),
+    "variant": (lambda cfg: cfg.update(variant="bogus"), "unknown head variant 'bogus'"),
+    "task_counts-empty": (lambda cfg: cfg["scaling"].update(task_counts=[]), "non-empty"),
+    "task_counts-bool": (lambda cfg: cfg["scaling"].update(task_counts=[True]), "task_counts"),
+    "heads": (lambda cfg: cfg.update(heads=3), "'heads' must be a list"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_SCALING))
+def test_params_refuses_a_bad_scaling_config(tmp_path, capsys, fault):
+    edit, needle = _BAD_SCALING[fault]
+    config = get_preset("theorem1")
+    edit(config)
+    path = tmp_path / "scaling.json"
+    path.write_text(json.dumps(config))
+    assert main(["params", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert captured.out == ""  # no table
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--qubits", "3", "--depth", "10",
                  "--seeds", "0,1"]) == 0
@@ -325,6 +348,30 @@ def test_negative_seed_fails_cleanly(checkpoint, tiny_config, tmp_path, capsys, 
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck", "--seeds", ""], "--seeds"),
+    (["gradcheck", "--seeds", "0,x"], "--seeds"),
+    (["sweep", "noise", "--grid", ","], "--grid"),
+    (["sweep", "depth-L", "--seeds", ""], "--seeds"),
+    (["sweep", "depth-L", "--grid", ","], "--grid"),
+], ids=["gradcheck-seeds", "gradcheck-seeds-bad", "sweep-noise-grid", "sweep-depth-seeds",
+        "sweep-depth-grid"])
+def test_empty_or_bad_list_fails_cleanly(tiny_config, tmp_path, capsys, argv, flag):
+    if argv[0] == "sweep":
+        argv = argv + ["--config", tiny_config, "--out-dir", str(tmp_path / "sweep")]
+    err = _fails_cleanly(argv, capsys)
+    assert f"{flag} expects comma-separated" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_empty_grid_means_the_default_grid(tiny_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "depth-L", "--config", tiny_config, "--grid", "",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "sweep_depth-L.csv") as fh:
+        assert [r["L"] for r in csv.DictReader(fh)] == ["2", "3", "4"]
+
+
 def test_sweep_noise_columns_name_the_checkpoint_tasks(checkpoint, tmp_path):
     renamed = json.loads(json.dumps(TINY_CONFIG))
     for head, name in zip(renamed["heads"], ("a", "b")):
@@ -443,6 +490,16 @@ _BAD_TRAIN_KEYS = {
     "seed": -1,
     "cap": 0,  # trained nothing under task_sampled
     "cap-negative": -1,  # dropped each task's last batch
+    "cap-bool": True,  # ran as cap 1
+    "lr-inf": float("inf"),
+    "clip_norm-nan": float("nan"),
+    "weight_decay": -1,
+    "weight_decay-nan": float("nan"),
+    "scheduler_factor": 2.0,  # grew the learning rate on every plateau
+    "scheduler_factor-zero": 0.0,
+    "min_lr": -1,
+    "scheduler_patience": -3,
+    "early_stop_patience": 0,
 }
 
 

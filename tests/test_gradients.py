@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qmtl import circuit as circuit_module
 from qmtl import cli
-from qmtl.circuit import Circuit, GateOp, const, feature, random_circuit, trainable
+from qmtl.circuit import Circuit, GateOp, const, feature, random_circuit, run_batch, trainable
 from qmtl.data import gen_synthetic
 from qmtl.gradients import (
+    _shifted,
     adjoint_reverse,
     adjoint_vjp,
     finite_diff_jacobian,
@@ -201,7 +202,7 @@ def test_adjoint_vjp_matches_shift_jacobians(seed):
 
     raw, dtheta, dinputs = adjoint_vjp(circuit, theta, features, observables, weights)
     np.testing.assert_allclose(
-        raw, circuit_module.evaluate_expectations_batch(circuit, theta, features, observables),
+        raw, circuit_module.run_batch(circuit, theta, features, observables).raw,
         rtol=0, atol=1e-12)
     shift = param_shift_jacobian_batch(circuit, theta, features, observables)
     np.testing.assert_allclose(dtheta, np.einsum("bo,bop->p", weights, shift),
@@ -276,13 +277,41 @@ def test_adjoint_reverse_is_repeatable_and_leaves_the_run_as_it_is():
         assert (recorded is None and kept is None) or np.array_equal(recorded, kept)
 
 
-def test_adjoint_reverse_refuses_a_run_with_an_override():
-    circuit, theta, features, observables, weights = _random_problem(0)
-    place = next((op_idx, 0) for op_idx, op in enumerate(circuit.ops) if op.params)
-    run = circuit_module.run_batch(circuit, theta, features, observables, {place: 0.3})
-    assert run.matrices is None
-    with pytest.raises(ValueError, match="override"):
-        adjoint_reverse(circuit, run, weights)
+@pytest.mark.parametrize("bound", ["theta", "input"])
+@pytest.mark.parametrize("kind,slot", [("rx", 0), ("ry", 0), ("rz", 0),
+                                       ("rot", 0), ("rot", 1), ("rot", 2)])
+def test_shifted_copy_moves_one_occurrence_of_the_angle(kind, slot, bound):
+    ref = trainable(0) if bound == "theta" else feature(0)
+    if kind == "rot":
+        refs = [trainable(1), feature(1), const(0.7)]
+        refs[slot] = ref
+    else:
+        refs = [ref]
+
+    def circuit_with(target_refs):
+        # the same ref also drives gates before and after the target op
+        ops = [GateOp("h", (0,)), GateOp("h", (1,)), GateOp("ry", (0,), (ref,)),
+               GateOp("cnot", (0, 1)), GateOp(kind, (1,), target_refs),
+               GateOp("cnot", (1, 0)), GateOp("rx", (1,), (ref,)),
+               GateOp("rot", (0,), (ref, trainable(1), feature(1)))]
+        return Circuit(2, ops, 2, 2)
+
+    rng = np.random.default_rng(slot)
+    theta = rng.uniform(0, 2 * np.pi, 2)
+    features = rng.uniform(-np.pi, np.pi, (3, 2))
+    observables = [pauli("Z0"), pauli("X1"), pauli("Y0*Z1")]
+    delta = 0.37
+    circuit = circuit_with(refs)
+    ops = list(circuit.ops)
+    shifted = run_batch(_shifted(circuit, 4, slot, delta), theta, features, observables)
+    assert circuit.ops == ops
+    for b, row in enumerate(features):
+        value = theta[0] if bound == "theta" else row[0]
+        moved = list(refs)
+        moved[slot] = const(value + delta)
+        expected = run_batch(circuit_with(moved), theta, row[None], observables)
+        np.testing.assert_allclose(shifted.amps[b], expected.amps[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shifted.raw[b], expected.raw[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["qmtl", "hqnn"])

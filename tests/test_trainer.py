@@ -213,3 +213,15 @@ def test_empty_training_set_rejected():
 def test_invalid_protocol_rejected():
     with pytest.raises(ConfigError):
         _cfg(protocol="bogus")
+
+
+def test_train_config_refuses_an_infinite_lr():
+    # through `qmtl train` an infinite lr would also end in an error naming
+    # 'lr', the divergence check's, after a first step
+    with pytest.raises(ConfigError, match="'lr' must be finite"):
+        TrainConfig(lr=float("inf"))
+
+
+def test_train_config_accepts_the_range_edges():
+    TrainConfig(cap=1, weight_decay=0.0, scheduler_factor=1.0, min_lr=0.0,
+                scheduler_patience=0, early_stop_patience=1)
