@@ -13,7 +13,6 @@ from .errors import (
     DivergenceError,
     GroupingError,
     QmtlError,
-    UnsupportedGateError,
 )
 from .statevector import (
     PauliString,

@@ -14,20 +14,20 @@ import numpy as np
 from . import statevector as sv
 from .statevector import PauliString
 
-GATE_ARITY = {
-    # kind: (num_qubits, num_params)
-    "h": (1, 0),
-    "x": (1, 0),
-    "y": (1, 0),
-    "z": (1, 0),
-    "rx": (1, 1),
-    "ry": (1, 1),
-    "rz": (1, 1),
-    "rot": (1, 3),
-    "cnot": (2, 0),
+# the gates each 1-qubit kind is made of, in the order they act, as
+# (kind, generator, parameter slot); a fixed gate is one factor with neither
+# generator nor slot, and rot(a, b, g) = rz(g) ry(b) rz(a)
+FACTORS = {
+    **{kind: ((kind, None, None),) for kind in sv.FIXED_GATES},
+    "rx": (("rx", "X", 0),),
+    "ry": (("ry", "Y", 0),),
+    "rz": (("rz", "Z", 0),),
+    "rot": (("rz", "Z", 0), ("ry", "Y", 1), ("rz", "Z", 2)),
 }
 
-ROTATION_KINDS = ("rx", "ry", "rz", "rot")
+# kind: (num_qubits, num_params)
+GATE_ARITY = {kind: (1, sum(slot is not None for *_, slot in factors))
+              for kind, factors in FACTORS.items()} | {"cnot": (2, 0)}
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,19 @@ class GateOp:
         object.__setattr__(self, "params", params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """An immutable gate list and its ``gate_blocks`` schedule ``blocks``,
+    worked out once when the circuit is built; every engine runs it."""
+
     num_qubits: int
-    ops: list = field(default_factory=list)
+    ops: tuple = ()
     num_trainable: int = 0
     num_inputs: int = 0
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             for q in op.qubits:
                 if not 0 <= q < self.num_qubits:
@@ -98,6 +100,7 @@ class Circuit:
                     raise ValueError(f"trainable index {ref.index} out of range")
                 if ref.kind == "input" and not 0 <= ref.index < self.num_inputs:
                     raise ValueError(f"input index {ref.index} out of range")
+        object.__setattr__(self, "blocks", tuple(gate_blocks(self)))
 
 
 def _resolve(ref: ParamRef, theta: np.ndarray, features: np.ndarray):
@@ -132,15 +135,25 @@ def gate_blocks(circuit: Circuit) -> list:
 
 
 def _block_matrix(circuit: Circuit, block: tuple, theta: np.ndarray,
-                  features: np.ndarray) -> np.ndarray:
-    """Product of the gate matrices of a 1-qubit block; (B, 2, 2) when an
-    input angle of a (B, d) feature matrix enters it."""
-    mat = None
+                  features: np.ndarray) -> tuple:
+    """``(mat, factors)`` of a 1-qubit block: the product of its gate
+    matrices, (B, 2, 2) when an input angle of a (B, d) feature matrix
+    enters it, and one ``(generator, ParamRef, matrix)`` per ``FACTORS``
+    factor in acting order, a fixed gate's with neither generator nor ref."""
+    mat, factors = None, []
     for op_idx in block:
         op = circuit.ops[op_idx]
-        gate = sv.gate_matrix(op.kind, [_resolve(ref, theta, features) for ref in op.params])
+        first, gate = len(factors), None
+        # last acting first, so that a rot groups as sv.rot_matrix does,
+        # (rz(g) @ ry(b)) @ rz(a); each factor is recorded in acting order
+        for kind, axis, slot in reversed(FACTORS[op.kind]):
+            ref = None if slot is None else op.params[slot]
+            angles = () if ref is None else (_resolve(ref, theta, features),)
+            factor = sv.gate_matrix(kind, angles)
+            factors.insert(first, (axis, ref, factor))
+            gate = factor if gate is None else gate @ factor
         mat = gate if mat is None else gate @ mat
-    return mat
+    return mat, tuple(factors)
 
 
 def _run(
@@ -148,28 +161,28 @@ def _run(
     circuit: Circuit,
     theta: np.ndarray,
     features: np.ndarray,
-    blocks: Optional[list] = None,
     after_block=None,
 ) -> np.ndarray:
-    """Apply all ops to ``amps`` (shape (..., 2**n)), one block per kernel call.
+    """Apply ``circuit.blocks`` to ``amps`` (shape (..., 2**n)), one kernel
+    call per block.
 
     The register may be wider than the circuit (n >= Q): the ops act on its
     qubits 0..Q-1, which are the row bits of a density matrix stored as
-    2Q-qubit amplitudes.  ``blocks`` defaults to ``gate_blocks(circuit)``.
-    ``after_block(amps, block, mat) -> amps`` runs after every block, with the
-    block's 2x2 matrix (None for a CNOT).
+    2Q-qubit amplitudes.  ``after_block(amps, block, recorded) -> amps`` runs
+    after every block, with the block's ``_block_matrix`` pair
+    ``(mat, factors)``, None for a CNOT.
     """
     nq = amps.shape[-1].bit_length() - 1
-    for block in gate_blocks(circuit) if blocks is None else blocks:
+    for block in circuit.blocks:
         op = circuit.ops[block[0]]
         if op.kind == "cnot":
-            mat = None
+            recorded = None
             amps = sv.apply_cnot_array(amps, op.qubits[0], op.qubits[1], nq)
         else:
-            mat = _block_matrix(circuit, block, theta, features)
-            amps = sv.apply_matrix(amps, mat, op.qubits[0], nq)
+            recorded = _block_matrix(circuit, block, theta, features)
+            amps = sv.apply_matrix(amps, recorded[0], op.qubits[0], nq)
         if after_block is not None:
-            amps = after_block(amps, block, mat)
+            amps = after_block(amps, block, recorded)
     return amps
 
 
@@ -219,21 +232,18 @@ def evaluate_expectations(
 
 
 class CircuitRun(NamedTuple):
-    """One run of a (B, d) feature matrix: the checked bindings, the
-    observables, their (B, n_observables) expectations ``raw`` and the final
-    (B, 2**Q) amplitudes, where the adjoint reverse sweep
+    """One run of a (B, d) feature matrix: the observables, their
+    (B, n_observables) expectations ``raw`` and the final (B, 2**Q)
+    amplitudes, where the adjoint reverse sweep
     (``gradients.adjoint_reverse``) starts.
 
-    ``blocks`` are the ``gate_blocks`` the run applied, and ``matrices`` each
-    block's fused 2x2 (or (B, 2, 2)) matrix, None for a CNOT; the reverse
+    ``matrices`` holds, per block of ``circuit.blocks``, the ``(mat,
+    factors)`` pair ``_block_matrix`` gave, None for a CNOT; the reverse
     sweep un-computes the state with them."""
 
-    theta: np.ndarray
-    features: np.ndarray
     observables: tuple
     raw: np.ndarray
     amps: np.ndarray
-    blocks: tuple
     matrices: tuple
 
 
@@ -245,19 +255,18 @@ def run_batch(
 ) -> CircuitRun:
     """The ``CircuitRun`` of a batch of feature rows, from one ``_run``."""
     theta, features = bind(circuit, theta, features, observables)
-    blocks = tuple(gate_blocks(circuit))
     matrices = []
 
-    def record(amps, block, mat):
-        matrices.append(mat)
+    def record(amps, block, recorded):
+        matrices.append(recorded)
         return amps
 
     amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
-                blocks=blocks, after_block=record)
+                after_block=record)
     raw = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
         raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return CircuitRun(theta, features, tuple(observables), raw, amps, blocks, tuple(matrices))
+    return CircuitRun(tuple(observables), raw, amps, tuple(matrices))
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

@@ -23,7 +23,3 @@ class DivergenceError(QmtlError):
 
 class DegenerateBatchError(QmtlError):
     """A batch contains no labeled entries for any task."""
-
-
-class UnsupportedGateError(QmtlError):
-    """A trainable parameter is bound to a non-rotation gate."""

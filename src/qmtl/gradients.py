@@ -3,18 +3,19 @@ uses, and the independent oracles that check it.
 
 Training differentiates the circuit by the adjoint method, with one circuit
 run per step: the forward that gives the logits (``circuit.run_batch``)
-keeps its final state and each fused gate block's matrix
-(``circuit.gate_blocks``), and ``adjoint_reverse`` sweeps back from it,
-un-computing the state one block at a time with the recorded U^dagger, so
-its cost does not grow with the number of parameters.  Within a block the
-sweep carries one (B, 2, 2) cross matrix of the adjoint and forward states
-back through the block's rotations, reading each angle's derivative off two
-of its entries.  ``adjoint_vjp`` is the two composed, for a bare circuit.
-The parameter-shift Jacobians (exact for Pauli rotations, and runnable on
-hardware) and central finite differences stay as oracles for ``qmtl
-gradcheck`` and the tests.  A shift Jacobian runs, per gate occurrence, a
-copy of the circuit with that angle shifted (``_shifted``), built from the
-gate-factor table ``_FACTORS`` that the sweep also walks.
+keeps its final state, and each fused gate block's matrix with the matrix
+of every gate factor in it (``circuit.blocks``, ``circuit.FACTORS``), and
+``adjoint_reverse`` sweeps back from it, un-computing the state one block at
+a time with the recorded U^dagger, so its cost does not grow with the number
+of parameters.  Within a block the sweep carries one (B, 2, 2) cross matrix
+of the adjoint and forward states back through the block's recorded factor
+matrices, reading each angle's derivative off two of its entries; it builds
+no matrix of its own.  ``adjoint_vjp`` is the two composed, for a bare
+circuit.  The parameter-shift Jacobians (exact for Pauli rotations, and
+runnable on hardware) and central finite differences stay as oracles for
+``qmtl gradcheck`` and the tests.  A shift Jacobian runs, per gate
+occurrence, a copy of the circuit with that angle shifted (``_shifted``),
+split into the same ``circuit.FACTORS`` factors.
 
 A trainable index referenced by m gate occurrences is differentiated by
 summing over its occurrences (product rule); parameter reuse in the shared
@@ -29,28 +30,18 @@ import numpy as np
 
 from . import statevector as sv
 from .circuit import (
+    FACTORS,
     Circuit,
     CircuitRun,
     GateOp,
-    ROTATION_KINDS,
-    _resolve,
     const,
     evaluate_expectations,
     run_batch,
 )
-from .errors import DegenerateBatchError, UnsupportedGateError
+from .errors import DegenerateBatchError
 from .statevector import PauliString
 
 SHIFT = np.pi / 2.0
-
-# the Pauli rotations each gate is made of, in the order they act, as
-# (kind, generator, parameter slot); rot(a, b, g) = rz(g) ry(b) rz(a)
-_FACTORS = {
-    "rx": (("rx", "X", 0),),
-    "ry": (("ry", "Y", 0),),
-    "rz": (("rz", "Z", 0),),
-    "rot": (("rz", "Z", 0), ("ry", "Y", 1), ("rz", "Z", 2)),
-}
 
 
 def _occurrences(circuit: Circuit, kind: str) -> list:
@@ -60,10 +51,6 @@ def _occurrences(circuit: Circuit, kind: str) -> list:
     for op_idx, op in enumerate(circuit.ops):
         for slot, ref in enumerate(op.params):
             if ref.kind == kind:
-                if op.kind not in ROTATION_KINDS:
-                    raise UnsupportedGateError(
-                        f"{kind} slot {ref.index} bound to non-rotation gate {op.kind!r}"
-                    )
                 occ[ref.index].append((op_idx, slot))
     return occ
 
@@ -72,13 +59,13 @@ def _shifted(circuit: Circuit, op_idx: int, slot: int, delta: float) -> Circuit:
     """A copy of ``circuit`` with the angle of one gate occurrence, slot
     ``slot`` of op ``op_idx``, shifted by ``delta``.
 
-    The op is split into its Pauli rotations (``_FACTORS``, with the same
+    The op is split into its Pauli rotations (``FACTORS``, with the same
     ParamRefs), and a ``const(delta)`` rotation about the same axis follows
     the factor of that slot; R_P(delta) R_P(a) = R_P(a + delta).
     """
     op = circuit.ops[op_idx]
     split = []
-    for kind, _, factor_slot in _FACTORS[op.kind]:
+    for kind, _, factor_slot in FACTORS[op.kind]:
         split.append(GateOp(kind, op.qubits, (op.params[factor_slot],)))
         if factor_slot == slot:
             split.append(GateOp(kind, op.qubits, (const(delta),)))
@@ -164,26 +151,6 @@ def finite_diff_jacobian(
     return jac
 
 
-def _reversed_factors(circuit: Circuit, block: tuple) -> list:
-    """(kind, generator, ParamRef) per factor of a 1-qubit block, last acting
-    first, through the first acting factor with a trainable or input angle;
-    empty when no factor has one.  A fixed gate is one factor with neither
-    generator nor angle."""
-    out = []
-    for op_idx in reversed(block):
-        op = circuit.ops[op_idx]
-        if op.kind in sv.FIXED_GATES:
-            out.append((op.kind, None, None))
-        elif op.kind in _FACTORS:
-            out.extend((kind, axis, op.params[slot])
-                       for kind, axis, slot in reversed(_FACTORS[op.kind]))
-        else:
-            raise UnsupportedGateError(f"no adjoint rule for gate {op.kind!r}")
-    while out and (out[-1][2] is None or out[-1][2].kind == "const"):
-        out.pop()
-    return out
-
-
 def _cross(psi: np.ndarray, lam: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     """C[b, i, j] = sum over the other qubits of conj(lam_i) psi_j, so that
     <lam|G|psi> = sum_ij G[i, j] C[b, i, j] for any 2x2 G on ``qubit``."""
@@ -224,26 +191,27 @@ def _step_back(cross: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> tuple:
     """``(dtheta, dinputs)`` for L = sum_{b,o} weights[b,o] <P_o>_b, from a
     forward ``run`` (``circuit.run_batch``) of ``circuit``: its final
-    amplitudes and its recorded blocks and block matrices.  The circuit is not
-    run again.
+    amplitudes and its recorded block and factor matrices.  The circuit is
+    not run again, and no angle is resolved.
 
     ``dtheta`` is dL/dtheta summed over rows and over every occurrence of a
     reused slot, and ``dinputs`` is the per-row (B, n_inputs) dL/d(input
     angle).
 
     Adjoint-state differentiation (Jones & Gacon, arXiv:2009.02823): form
-    lambda = sum_o w_o P_o |psi>, then walk the run's blocks in reverse,
+    lambda = sum_o w_o P_o |psi>, then walk ``circuit.blocks`` in reverse,
     un-computing psi and lambda with each block's recorded U^dagger.  Within
     a 1-qubit block the sweep carries the (B, 2, 2) cross matrix
     C = sum conj(lambda_i) psi_j (``_cross``), taken once at the block's
-    output, back through the block's factors, last acting first.  A rotation
+    output, back through the block's recorded factors, last acting first, as
+    far as the first acting one with a trainable or input angle.  A rotation
     exp(-i a P / 2) contributes Im <lambda|P|psi> at its own output, a pick
     of two entries of C (``_pauli_pick``); C then steps back past the factor
     g as g^T C conj(g) (``_step_back``).  Intermediate states are
     un-computed, never stored, so memory stays at psi, lambda and one scratch
     array; the run's amplitudes and matrices are left as they are.
     """
-    theta, features, psi = run.theta, run.features, run.amps
+    psi = run.amps
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
     lam = np.zeros_like(psi)
@@ -252,26 +220,28 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
 
     dtheta = np.zeros(circuit.num_trainable)
     dinputs = np.zeros((psi.shape[0], circuit.num_inputs))
-    for block, mat in zip(reversed(run.blocks), reversed(run.matrices)):
+    for block, recorded in zip(reversed(circuit.blocks), reversed(run.matrices)):
         op = circuit.ops[block[0]]
-        if mat is None:  # a CNOT, its own inverse
+        if recorded is None:  # a CNOT, its own inverse
             psi = sv.apply_cnot_array(psi, op.qubits[0], op.qubits[1], nq)
             lam = sv.apply_cnot_array(lam, op.qubits[0], op.qubits[1], nq)
             continue
+        mat, factors = recorded
         qubit = op.qubits[0]
-        factors = _reversed_factors(circuit, block)
-        if factors:
+        live = [k for k, (_, ref, _) in enumerate(factors)
+                if ref is not None and ref.kind != "const"]
+        if live:
             cross = _cross(psi, lam, qubit, nq)
-        for k, (kind, axis, ref) in enumerate(factors, 1):
-            if ref is not None and ref.kind != "const":
-                grad = _pauli_pick(cross, axis)
-                if ref.kind == "theta":
-                    dtheta[ref.index] += grad.sum()
-                else:
-                    dinputs[:, ref.index] += grad
-            if k < len(factors):
-                angles = [] if ref is None else [_resolve(ref, theta, features)]
-                cross = _step_back(cross, sv.gate_matrix(kind, angles))
+            for k in range(len(factors) - 1, live[0] - 1, -1):
+                axis, ref, factor = factors[k]
+                if k in live:
+                    grad = _pauli_pick(cross, axis)
+                    if ref.kind == "theta":
+                        dtheta[ref.index] += grad.sum()
+                    else:
+                        dinputs[:, ref.index] += grad
+                if k > live[0]:
+                    cross = _step_back(cross, factor)
         inverse = np.conj(np.swapaxes(mat, -1, -2))
         psi = sv.apply_matrix(psi, inverse, qubit, nq)
         lam = sv.apply_matrix(lam, inverse, qubit, nq)

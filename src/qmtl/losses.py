@@ -34,8 +34,19 @@ class TaskSpec:
             raise ConfigError(f"unknown task kind {self.kind!r}")
         if self.kind == "multiclass" and self.num_classes < 2:
             raise ConfigError("multiclass tasks need num_classes >= 2")
-        if self.lambda_weight < 0:
-            raise ConfigError("lambda_weight must be >= 0")
+        # each bound written so that NaN fails it
+        if not 0.0 <= self.lambda_weight < np.inf:
+            raise ConfigError(f"task {self.name!r}: 'lambda' must be finite and >= 0, "
+                              f"got {self.lambda_weight}")
+        if not 0.0 <= self.focal_gamma < np.inf:
+            raise ConfigError(f"task {self.name!r}: 'focal_gamma' must be finite and >= 0, "
+                              f"got {self.focal_gamma}")
+        if not 0.0 < self.focal_alpha < np.inf:
+            raise ConfigError(f"task {self.name!r}: 'focal_alpha' must be finite and > 0, "
+                              f"got {self.focal_alpha}")
+        if self.eval_binarize and (self.kind, self.num_classes) != ("multiclass", 3):
+            raise ConfigError(f"task {self.name!r}: 'eval_binarize' needs a 3-class "
+                              "multiclass task")
         if self.loss not in ("default", "focal"):
             raise ConfigError(f"task {self.name!r}: unknown loss {self.loss!r}; "
                               "expected 'default' or 'focal'")

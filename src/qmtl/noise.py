@@ -3,23 +3,24 @@
 The channel follows every single-qubit gate with, at probability p1, one of
 {X, Y, Z} uniformly on that qubit, and every CNOT with, at probability p2,
 one of the 15 non-identity two-qubit Paulis uniformly (Wallman & Emerson,
-arXiv:1512.01098).  Two engines estimate its observable expectations, and
+arXiv:1512.01098).  As the twirl commutes with every unitary on its qubits,
+the noise of a block of ``circuit.blocks`` is one twirl after it, of
+fidelity f (``_fidelity``).  Two engines estimate its expectations, and
 ``engine`` picks one from the register size Q alone:
 
 * ``"density_matrix"``, when Q <= EXACT_QUBITS: the exact channel, with the
   density matrix rho of each row stored as 2Q-qubit amplitudes (row bits
-  0..Q-1, column bits Q..2Q-1) and run through the same fused
-  ``gate_blocks`` as a state, all rows in one pass, in chunks of at most
-  2**MAX_QUBITS amplitudes.  A block U on qubit q is U on bit q and
-  conj(U) on bit q + Q; as the twirl commutes with every unitary on its
-  qubit, the noise of a block of k gates is one depolarizing update with
-  f = (1 - 4 p1 / 3)**k.  The result does not depend on the trajectory
-  count or the seed.
+  0..Q-1, column bits Q..2Q-1) and run through ``circuit.blocks`` as a
+  state, all rows in one pass, in chunks of at most 2**MAX_QUBITS
+  amplitudes.  A block U on qubit q is U on bit q and conj(U) on bit q + Q,
+  then one depolarizing update.  The result does not depend on the
+  trajectory count or the seed.
 * ``"trajectories"`` otherwise: per feature row, T Monte-Carlo trajectories,
   one per row of a (T, 2**Q) amplitude array, run together through one pass
-  over the gates, from the same seed for every feature row.
-  After each gate one uniform draw per row decides which rows are hit, and
-  only those rows get their Pauli.  Rows are split into chunks of at most
+  over ``circuit.blocks``, from the same seed for every feature row.  After
+  each block on n qubits one uniform draw per row hits it at the rate
+  (1 - f)(1 - 4**-n), and only the rows hit get a Pauli, uniform among the
+  4**n - 1 non-identity ones.  Rows are split into chunks of at most
   2**MAX_QUBITS amplitudes, a size that depends only on Q, so the estimate
   is a pure function of the circuit, its bindings, the observables and the
   NoiseSpec.
@@ -52,7 +53,8 @@ class NoiseSpec:
             raise ValueError("num_trajectories must be >= 1")
 
 
-# I, X, Y, Z; a two-qubit Pauli k in 1..15 is the pair (k >> 2, k & 3)
+# I, X, Y, Z; a Pauli k in 1..4**n - 1 on n qubits has one base-4 digit per
+# qubit, the last qubit's lowest: on two, the pair (k >> 2, k & 3)
 _PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "XYZ"])
 
 
@@ -116,20 +118,27 @@ def _depolarize(rho: np.ndarray, qubits: tuple, f: float, num_qubits: int) -> np
     return v.reshape(rho.shape)
 
 
+def _fidelity(circuit: Circuit, block: tuple, p1: float, p2: float) -> float:
+    """The fidelity f of a block's twirl: f2 = 1 - 16 p2 / 15 for a CNOT,
+    (1 - 4 p1 / 3)**k for a 1-qubit block of k gates."""
+    if circuit.ops[block[0]].kind == "cnot":
+        return 1.0 - 16.0 * p2 / 15.0
+    return (1.0 - 4.0 * p1 / 3.0) ** len(block)
+
+
 def _density_channel(circuit: Circuit, p1: float, p2: float):
     """``_run``'s ``after_block`` for rho: a block's column half (conj(U) on the
     column bits) and its depolarizing update."""
     nq = circuit.num_qubits
-    f2 = 1.0 - 16.0 * p2 / 15.0
+    fidelity = {block: _fidelity(circuit, block, p1, p2) for block in circuit.blocks}
 
-    def after_block(rho, block, mat):
+    def after_block(rho, block, recorded):
         qubits = circuit.ops[block[0]].qubits
-        if mat is None:
+        if recorded is None:
             rho = sv.apply_cnot_array(rho, qubits[0] + nq, qubits[1] + nq, 2 * nq)
-            f = f2
         else:
-            rho = sv.apply_matrix(rho, np.conj(mat), qubits[0] + nq, 2 * nq)
-            f = (1.0 - 4.0 * p1 / 3.0) ** len(block)
+            rho = sv.apply_matrix(rho, np.conj(recorded[0]), qubits[0] + nq, 2 * nq)
+        f = fidelity[block]
         return rho if f == 1.0 else _depolarize(rho, qubits, f, nq)
 
     return after_block
@@ -176,36 +185,33 @@ def _trajectories(
 ) -> np.ndarray:
     """Monte-Carlo average of the expectations of one bound (d,) feature row
     over ``noise.num_trajectories`` trajectories drawn from ``noise.seed``,
-    each gate a block of its own."""
+    one sampled twirl per block of ``circuit.blocks``."""
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 
-    def hook(amps, block, mat):
-        """Insert a sampled Pauli after the gate into each row of ``amps`` that is hit."""
-        op = circuit.ops[block[0]]
-        cnot = op.kind == "cnot"
-        p = noise.p2 if cnot else noise.p1
+    def hook(amps, block, recorded):
+        """Insert a sampled Pauli after the block into each row of ``amps`` that is hit."""
+        qubits = circuit.ops[block[0]].qubits
+        # the rate at which the block's twirl applies a non-identity Pauli
+        p = (1.0 - _fidelity(circuit, block, noise.p1, noise.p2)) * (1.0 - 4.0 ** -len(qubits))
         if p == 0.0:
             return amps
         hit = np.flatnonzero(rng.random(len(amps)) < p)
         if not hit.size:
             return amps
-        if cnot:
-            pair = rng.integers(1, 16, size=hit.size)
-            rows = sv.apply_matrix(amps[hit], _PAULIS[pair >> 2], op.qubits[0], nq)
-            rows = sv.apply_matrix(rows, _PAULIS[pair & 3], op.qubits[1], nq)
-        else:
-            axis = rng.integers(1, 4, size=hit.size)
-            rows = sv.apply_matrix(amps[hit], _PAULIS[axis], op.qubits[0], nq)
+        paulis = rng.integers(1, 4 ** len(qubits), size=hit.size)
+        rows = amps[hit]
+        for qubit in reversed(qubits):
+            rows = sv.apply_matrix(rows, _PAULIS[paulis & 3], qubit, nq)
+            paulis >>= 2
         amps[hit] = rows
         return amps
 
-    per_gate = [(op_idx,) for op_idx in range(len(circuit.ops))]
     chunk = max(1, (1 << MAX_QUBITS) >> nq)
     total = np.zeros(len(observables))
     for start in range(0, noise.num_trajectories, chunk):
         amps = sv.zero_batch(nq, min(chunk, noise.num_trajectories - start))
-        amps = _run(amps, circuit, theta, features, blocks=per_gate, after_block=hook)
+        amps = _run(amps, circuit, theta, features, after_block=hook)
         for i, obs in enumerate(observables):
             total[i] += sv.expectation_array(amps, obs.as_dict(), nq).sum()
     return total / noise.num_trajectories

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_random_circuit_then_its_inverse_returns_to_zero(seed, nq, depth):
     circuit = random_circuit(nq, depth, rng, num_inputs=2)
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     row = rng.uniform(-np.pi, np.pi, 2)
-    both = Circuit(nq, circuit.ops + _inverse_ops(circuit, theta, row),
+    both = Circuit(nq, [*circuit.ops, *_inverse_ops(circuit, theta, row)],
                    circuit.num_trainable, circuit.num_inputs)
     out = _run(zero_batch(nq, 1), both, theta, row[None])
     np.testing.assert_allclose(out, zero_batch(nq, 1), rtol=0, atol=1e-12)
@@ -307,4 +308,15 @@ def test_blocks_straddle_cnots_on_other_qubits(monkeypatch):
 
     monkeypatch.setattr(circuit_module, "gate_blocks", past_own_cnot)
     with pytest.raises(AssertionError):
-        _check_run_against_dense(circuit, np.random.default_rng(0))
+        _check_run_against_dense(_straddling_circuit(), np.random.default_rng(0))
+
+
+def test_circuit_is_frozen_and_schedules_its_blocks_once():
+    ops = list(_straddling_circuit().ops)
+    circuit = Circuit(4, ops, num_trainable=3, num_inputs=2)
+    ops.append(GateOp("h", (1,)))  # the circuit keeps its own tuple
+    assert isinstance(circuit.ops, tuple) and len(circuit.ops) == 14
+    assert circuit.blocks == tuple(gate_blocks(circuit))
+    for name, value in [("ops", ()), ("num_qubits", 5), ("blocks", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circuit, name, value)

@@ -577,6 +577,37 @@ def test_bad_optional_key_fails_cleanly(tmp_path, capsys, command, key):
     assert not (tmp_path / "run").exists()
 
 
+def _binarized_two_class_head(cfg):
+    cfg["variant"] = "classical"
+    cfg["heads"][0].update(kind="multiclass", num_classes=2, outputs=2, eval_binarize=True)
+
+
+# task values that trained to a nonsense report, diverged or crashed
+_BAD_TASK_VALUES = {
+    "eval_binarize-binary": (lambda cfg: cfg["heads"][0].update(eval_binarize=True),
+                             "eval_binarize"),
+    "eval_binarize-2-class": (_binarized_two_class_head, "eval_binarize"),
+    "lambda-nan": (lambda cfg: cfg["heads"][0].update({"lambda": float("nan")}), "lambda"),
+    "lambda-inf": (lambda cfg: cfg["heads"][0].update({"lambda": float("inf")}), "lambda"),
+    "focal_gamma-negative": (lambda cfg: cfg["heads"][0].update(focal_gamma=-1), "focal_gamma"),
+    "focal_gamma-nan": (lambda cfg: cfg["heads"][0].update(focal_gamma=float("nan")),
+                        "focal_gamma"),
+    "focal_alpha-nan": (lambda cfg: cfg["heads"][0].update(focal_alpha=float("nan")),
+                        "focal_alpha"),
+    "focal_alpha-negative": (lambda cfg: cfg["heads"][0].update(focal_alpha=-2), "focal_alpha"),
+    "focal_alpha-zero": (lambda cfg: cfg["heads"][0].update(focal_alpha=0), "focal_alpha"),
+}
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("fault", sorted(_BAD_TASK_VALUES))
+def test_bad_task_value_fails_cleanly(tmp_path, capsys, command, fault):
+    edit, needle = _BAD_TASK_VALUES[fault]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flags, exact_qubits, chosen", [
     ([], 7, None),
     (["--p1", "0.01", "--trajectories", "4"], 7, "density_matrix"),

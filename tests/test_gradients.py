@@ -6,7 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from qmtl import circuit as circuit_module
 from qmtl import cli
-from qmtl.circuit import Circuit, GateOp, const, feature, random_circuit, run_batch, trainable
+from qmtl import statevector as sv
+from qmtl.circuit import (
+    FACTORS,
+    Circuit,
+    GateOp,
+    const,
+    feature,
+    random_circuit,
+    run_batch,
+    trainable,
+)
 from qmtl.data import gen_synthetic
 from qmtl.gradients import (
     _shifted,
@@ -266,15 +276,19 @@ def test_adjoint_reverse_is_repeatable_and_leaves_the_run_as_it_is():
     circuit, theta, features, observables, weights = _random_problem(3)
     run = circuit_module.run_batch(circuit, theta, features, observables)
     amps = run.amps.copy()
-    matrices = [None if mat is None else mat.copy() for mat in run.matrices]
+    def flat(recorded):  # the fused matrix, then each factor's
+        return [recorded[0], *(m for *_, m in recorded[1])]
+
+    matrices = [None if rec is None else [m.copy() for m in flat(rec)] for rec in run.matrices]
     first = adjoint_reverse(circuit, run, weights)
     second = adjoint_reverse(circuit, run, weights)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
     assert np.array_equal(run.amps, amps)
-    assert len(run.matrices) == len(run.blocks) == len(matrices)
+    assert len(run.matrices) == len(circuit.blocks) == len(matrices)
     for recorded, kept in zip(run.matrices, matrices):
-        assert (recorded is None and kept is None) or np.array_equal(recorded, kept)
+        assert (recorded is None and kept is None) or all(
+            np.array_equal(a, b) for a, b in zip(flat(recorded), kept, strict=True))
 
 
 @pytest.mark.parametrize("bound", ["theta", "input"])
@@ -304,7 +318,7 @@ def test_shifted_copy_moves_one_occurrence_of_the_angle(kind, slot, bound):
     circuit = circuit_with(refs)
     ops = list(circuit.ops)
     shifted = run_batch(_shifted(circuit, 4, slot, delta), theta, features, observables)
-    assert circuit.ops == ops
+    assert list(circuit.ops) == ops
     for b, row in enumerate(features):
         value = theta[0] if bound == "theta" else row[0]
         moved = list(refs)
@@ -337,3 +351,27 @@ def test_loss_gradient_runs_the_circuit_once(monkeypatch, variant):
                     monkeypatch.setattr(module, attr, counted)
     loss_gradient(model, model.init_params(0), batch.features, batch.labels, specs)
     assert len(runs) == 1
+
+
+def test_loss_gradient_builds_each_factor_matrix_once(monkeypatch):
+    """The forward builds one matrix per gate factor; the reverse sweep
+    steps back through those and builds none."""
+    config = get_preset("toy")
+    specs = cli.task_specs_from(config)
+    train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
+    model = cli.head_model_from(config, specs)
+    batch = train_data.subset(np.arange(64))
+    built = []
+    gate_matrix = sv.gate_matrix
+
+    def counted(kind, angles=()):
+        built.append(kind)
+        return gate_matrix(kind, angles)
+
+    monkeypatch.setattr(sv, "gate_matrix", counted)
+    loss_gradient(model, model.init_params(0), batch.features, batch.labels, specs)
+    ops = model.model.circuit.ops
+    factors = [kind for op in ops for kind, *_ in FACTORS.get(op.kind, ())]
+    assert sorted(built) == sorted(factors)
+    # toy's rot gates have 3 factors each, so one matrix per op would not pass
+    assert len(factors) > sum(op.kind != "cnot" for op in ops)

@@ -12,6 +12,7 @@ from qmtl.circuit import (
     GateOp,
     _run,
     evaluate_expectations,
+    feature,
     gate_blocks,
     random_circuit,
     trainable,
@@ -208,6 +209,31 @@ def test_chunked_trajectories_match_oracle_and_are_deterministic(monkeypatch):
     assert np.array_equal(first, second)
     oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
     assert np.all(np.abs(first - oracle) <= _six_se(oracle, n)), (first, oracle)
+
+
+def test_trajectories_twirl_a_long_block_once_at_its_merged_fidelity(monkeypatch):
+    """Five gates on qubit 0 form one block, noised by one sampled twirl of
+    fidelity (1 - 4 p1 / 3)**5; the oracle twirls after every gate."""
+    th = trainable
+    ops = [GateOp("h", (0,)), GateOp("rx", (0,), (th(0),)), GateOp("ry", (0,), (th(1),)),
+           GateOp("rz", (0,), (th(2),)), GateOp("rot", (0,), (th(3), th(1), feature(0))),
+           GateOp("ry", (1,), (th(2),)), GateOp("cnot", (0, 1)),
+           GateOp("rx", (1,), (feature(0),))]
+    circuit = Circuit(2, ops, 4, 1)
+    assert circuit.blocks[0] == (0, 1, 2, 3, 4)
+    theta, x = np.array([0.3, 1.1, -0.4, 0.9]), np.array([0.2])
+    observables = [pauli("Z0"), pauli("X0"), pauli("Y0*Z1"), pauli("Z1")]
+    p1, p2, n = 0.2, 0.1, 4000
+    spec = NoiseSpec(p1=p1, p2=p2, num_trajectories=n, seed=11)
+    oracle = _density_matrix_expectations(circuit, theta, x, observables, p1, p2)
+    values = noise_module._trajectories(circuit, theta, x, observables, spec)
+    assert np.all(np.abs(values - oracle) <= _six_se(oracle, n)), (values, oracle)
+    # control: one gate's twirl per block, the merge done wrong, is caught
+    fidelity = noise_module._fidelity
+    monkeypatch.setattr(noise_module, "_fidelity",
+                        lambda circuit, block, p1, p2: fidelity(circuit, block[:1], p1, p2))
+    wrong = noise_module._trajectories(circuit, theta, x, observables, spec)
+    assert np.any(np.abs(wrong - oracle) > _six_se(oracle, n)), (wrong, oracle)
 
 
 @pytest.mark.parametrize("num_qubits, chosen", [
