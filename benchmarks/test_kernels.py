@@ -1,7 +1,8 @@
 """Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, of
 one noisy block on a density matrix at Q = 4 and 10, of shot sampling
 at Q = 4 and 10, and of one training step's circuit gradient
-(``loss_gradient``) and its reverse sweep alone (``adjoint_reverse``) on a
+(``loss_gradient``), its reverse sweep alone (``adjoint_reverse``) and the
+build of every block matrix of its run (``circuit._block_matrices``) on a
 ``toy`` and a ``glue-like`` batch.
 
 Run from the repository root with
@@ -18,6 +19,8 @@ amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
 A density matrix is one row of 4**Q amplitudes, as the exact noise engine
 stores each feature row's.  Shot sampling draws 4096 shots of one state's
 1-D amplitudes, as ``model.forward`` does per row and commuting group.
+A noisy 1-qubit block is one 2x2 pass on its row bit and one 4x4 pair map
+on its column and row bits; a CNOT is two swaps and a depolarizing update.
 The gradient cases take the ``toy`` preset's first 64 training rows with
 every task, and the first 32 labeled ``glue-like`` rows of its first task,
 shaped like the one-task batch of a ``task_sampled`` step; the reverse
@@ -29,7 +32,7 @@ import numpy as np
 import pytest
 
 from qmtl import cli
-from qmtl.circuit import Circuit, GateOp, _run, const
+from qmtl.circuit import Circuit, GateOp, _block_matrices, _run, const
 from qmtl.data import gen_synthetic
 from qmtl.gradients import adjoint_reverse, loss_gradient
 from qmtl.losses import MISSING
@@ -93,8 +96,8 @@ def test_density_matrix_block(benchmark, nq, op):
     ``circuit._run`` with ``noise._density_channel``."""
     circuit = Circuit(nq, [op])
     rho = zero_batch(2 * nq, 1)
-    out = benchmark(_run, rho, circuit, np.empty(0), np.empty(0),
-                    after_block=_density_channel(circuit, 0.01, 0.01))
+    out, _ = benchmark(_run, rho, circuit, np.empty(0), np.empty((1, 0)),
+                       after_block=_density_channel(circuit, 0.01, 0.01))
     assert out.shape == rho.shape
     assert np.real(out[0, ::(1 << nq) + 1].sum()) == pytest.approx(1.0)
 
@@ -148,3 +151,16 @@ def test_adjoint_reverse(benchmark, preset, rows, one_task):
     dtheta, dinputs = benchmark(adjoint_reverse, model.model.circuit, run, weights)
     assert dtheta.shape == (model.model.circuit.num_trainable,)
     assert np.all(np.isfinite(dtheta)) and dinputs.shape == batch.features.shape
+
+
+@GRADIENT_BATCHES
+def test_block_matrices(benchmark, preset, rows, one_task):
+    """Every block and factor matrix of one forward run, from the circuit's
+    plan."""
+    model, _, batch = _gradient_batch(preset, rows, one_task)
+    circuit = model.model.circuit
+    theta = model.init_params(0)[: model.model.num_circuit_params]
+    matrices = benchmark(_block_matrices, circuit, theta, batch.features)
+    assert len(matrices) == len(circuit.plan.groups)
+    for (fused, _), group in zip(matrices, circuit.plan.groups):
+        assert len(fused) == len(group.members) and np.all(np.isfinite(fused))

@@ -80,14 +80,16 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable gate list and its ``gate_blocks`` schedule ``blocks``,
-    worked out once when the circuit is built; every engine runs it."""
+    """An immutable gate list, its ``gate_blocks`` schedule ``blocks`` and
+    the angle plan ``plan`` its block matrices are built from (``_plan``),
+    both worked out once when the circuit is built; every engine runs them."""
 
     num_qubits: int
     ops: tuple = ()
     num_trainable: int = 0
     num_inputs: int = 0
     blocks: tuple = field(init=False, repr=False, compare=False)
+    plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -101,15 +103,86 @@ class Circuit:
                 if ref.kind == "input" and not 0 <= ref.index < self.num_inputs:
                     raise ValueError(f"input index {ref.index} out of range")
         object.__setattr__(self, "blocks", tuple(gate_blocks(self)))
+        object.__setattr__(self, "plan", _plan(self))
 
 
-def _resolve(ref: ParamRef, theta: np.ndarray, features: np.ndarray):
-    """Angle value for one ParamRef; features may be (d,) or (B, d)."""
-    if ref.kind == "theta":
-        return theta[ref.index]
-    if ref.kind == "input":
-        return features[..., ref.index]
-    return ref.value
+class _Group(NamedTuple):
+    """The 1-qubit blocks of ``Circuit.blocks`` that share one signature: the
+    kind of each op, and which of its angles are inputs.  ``_block_matrices``
+    builds their matrices stacked along a leading member axis."""
+
+    members: tuple  # the blocks' positions in ``Circuit.blocks``
+    spans: tuple  # per op of a block, the (start, stop) span of its factors
+    factors: tuple  # per factor, in acting order: (axis, refs), one ref per member
+    fixed: tuple  # per factor, a fixed gate's (n, 2, 2) stack, else None
+    # per rotation kind: (kind, shared factors, their (k, n) angle-table
+    # indices, input factors, their (k, n) feature indices)
+    builds: tuple
+
+
+class _Plan(NamedTuple):
+    """How ``_block_matrices`` builds a circuit's block matrices."""
+
+    groups: tuple  # of _Group
+    places: tuple  # per block, its (group, member) pair, None for a CNOT
+    consts: np.ndarray  # the const angles, after theta in the angle table
+
+
+_BUILDERS = {"rx": sv.rx_matrix, "ry": sv.ry_matrix, "rz": sv.rz_matrix}
+
+
+def _plan(circuit: Circuit) -> _Plan:
+    """Group the 1-qubit blocks of ``circuit.blocks`` by signature, and index
+    the source of every rotation angle of each group."""
+    by_signature = {}
+    for j, block in enumerate(circuit.blocks):
+        ops = [circuit.ops[i] for i in block]
+        if ops[0].kind != "cnot":
+            signature = tuple((op.kind, tuple(ref.kind == "input" for ref in op.params))
+                              for op in ops)
+            by_signature.setdefault(signature, []).append(j)
+    consts, groups, places = [], [], [None] * len(circuit.blocks)
+
+    def table_index(ref):
+        if ref.kind == "theta":
+            return ref.index
+        consts.append(ref.value)
+        return circuit.num_trainable + len(consts) - 1
+
+    for members in by_signature.values():
+        blocks = [[circuit.ops[i] for i in circuit.blocks[j]] for j in members]
+        spans, factors, fixed = [], [], []
+        # per rotation kind: shared factors, their indices, input factors, theirs
+        sources = {kind: ([], [], [], []) for kind in _BUILDERS}
+        for k, op in enumerate(blocks[0]):
+            spans.append((len(factors), len(factors) + len(FACTORS[op.kind])))
+            for kind, axis, slot in FACTORS[op.kind]:
+                if slot is None:
+                    factors.append((axis, None))
+                    # every run records this stack, so no run may write to it
+                    stack = np.stack([sv.FIXED_GATES[kind]] * len(members))
+                    stack.flags.writeable = False
+                    fixed.append(stack)
+                    continue
+                refs = tuple(ops[k].params[slot] for ops in blocks)
+                shared, shared_idx, inputs, input_idx = sources[kind]
+                if refs[0].kind == "input":
+                    inputs.append(len(factors))
+                    input_idx.append([ref.index for ref in refs])
+                else:
+                    shared.append(len(factors))
+                    shared_idx.append([table_index(ref) for ref in refs])
+                factors.append((axis, refs))
+                fixed.append(None)
+        builds = tuple(
+            (kind, tuple(shared), np.array(shared_idx, dtype=np.intp).reshape(-1, len(members)),
+             tuple(inputs), np.array(input_idx, dtype=np.intp).reshape(-1, len(members)))
+            for kind, (shared, shared_idx, inputs, input_idx) in sources.items()
+            if shared or inputs)
+        for i, j in enumerate(members):
+            places[j] = (len(groups), i)
+        groups.append(_Group(tuple(members), tuple(spans), tuple(factors), tuple(fixed), builds))
+    return _Plan(tuple(groups), tuple(places), np.array(consts, dtype=float))
 
 
 def gate_blocks(circuit: Circuit) -> list:
@@ -134,26 +207,53 @@ def gate_blocks(circuit: Circuit) -> list:
     return blocks
 
 
-def _block_matrix(circuit: Circuit, block: tuple, theta: np.ndarray,
-                  features: np.ndarray) -> tuple:
-    """``(mat, factors)`` of a 1-qubit block: the product of its gate
-    matrices, (B, 2, 2) when an input angle of a (B, d) feature matrix
-    enters it, and one ``(generator, ParamRef, matrix)`` per ``FACTORS``
-    factor in acting order, a fixed gate's with neither generator nor ref."""
-    mat, factors = None, []
-    for op_idx in block:
-        op = circuit.ops[op_idx]
-        first, gate = len(factors), None
-        # last acting first, so that a rot groups as sv.rot_matrix does,
-        # (rz(g) @ ry(b)) @ rz(a); each factor is recorded in acting order
-        for kind, axis, slot in reversed(FACTORS[op.kind]):
-            ref = None if slot is None else op.params[slot]
-            angles = () if ref is None else (_resolve(ref, theta, features),)
-            factor = sv.gate_matrix(kind, angles)
-            factors.insert(first, (axis, ref, factor))
-            gate = factor if gate is None else gate @ factor
-        mat = gate if mat is None else gate @ mat
-    return mat, tuple(factors)
+def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two member-stacked 2x2 matrices, each (n, 2, 2) or
+    per row (n, B, 2, 2)."""
+    if a.ndim < b.ndim:
+        a = a[:, None]
+    elif b.ndim < a.ndim:
+        b = b[:, None]
+    return a @ b
+
+
+def _block_matrices(circuit: Circuit, theta: np.ndarray, features: np.ndarray) -> tuple:
+    """Every 1-qubit block's matrices, one ``(fused, factors)`` pair per group
+    of ``circuit.plan``: the member-stacked product of each block's gate
+    matrices, (n, 2, 2), or (n, B, 2, 2) when an input angle of a (B, d)
+    feature matrix enters it, and one such stack per ``FACTORS`` factor in
+    acting order (``_Group.factors``).
+
+    Each group gathers its angles of one rotation kind with one fancy index
+    (``features`` for input slots, ``theta`` and the circuit's constants for
+    the rest) and builds their matrices in one call.  A gate's factors are
+    multiplied last acting first, so that a rot groups as ``sv.rot_matrix``
+    does, (rz(g) @ ry(b)) @ rz(a), and each gate then left-multiplies the
+    block's product so far."""
+    table = np.concatenate((theta, circuit.plan.consts))
+    rows = features.shape[:-1]
+    columns = features.T
+    out = []
+    for group in circuit.plan.groups:
+        mats = list(group.fixed)
+        for kind, shared, shared_idx, inputs, input_idx in group.builds:
+            built = _BUILDERS[kind](np.concatenate(
+                (table[shared_idx].ravel(), columns[input_idx].ravel())))
+            split = shared_idx.size
+            mats_shared = built[:split].reshape(shared_idx.shape + (2, 2))
+            mats_per_row = built[split:].reshape(input_idx.shape + rows + (2, 2))
+            for r, t in enumerate(shared):
+                mats[t] = mats_shared[r]
+            for r, t in enumerate(inputs):
+                mats[t] = mats_per_row[r]
+        fused = None
+        for start, stop in group.spans:
+            gate = mats[stop - 1]
+            for t in range(stop - 2, start - 1, -1):
+                gate = _stack_mul(gate, mats[t])
+            fused = gate if fused is None else _stack_mul(gate, fused)
+        out.append((fused, tuple(mats)))
+    return tuple(out)
 
 
 def _run(
@@ -162,28 +262,29 @@ def _run(
     theta: np.ndarray,
     features: np.ndarray,
     after_block=None,
-) -> np.ndarray:
-    """Apply ``circuit.blocks`` to ``amps`` (shape (..., 2**n)), one kernel
-    call per block.
+) -> tuple:
+    """``(amps, matrices)``: ``circuit.blocks`` applied to ``amps`` (shape
+    (..., 2**n)), one kernel call per block, and the run's
+    ``_block_matrices``, built once before the walk.
 
     The register may be wider than the circuit (n >= Q): the ops act on its
     qubits 0..Q-1, which are the row bits of a density matrix stored as
-    2Q-qubit amplitudes.  ``after_block(amps, block, recorded) -> amps`` runs
-    after every block, with the block's ``_block_matrix`` pair
-    ``(mat, factors)``, None for a CNOT.
+    2Q-qubit amplitudes.  ``after_block(amps, block, mat) -> amps`` runs
+    after every block, with the block's fused matrix, None for a CNOT.
     """
     nq = amps.shape[-1].bit_length() - 1
-    for block in circuit.blocks:
+    matrices = _block_matrices(circuit, theta, features)
+    for block, place in zip(circuit.blocks, circuit.plan.places):
         op = circuit.ops[block[0]]
-        if op.kind == "cnot":
-            recorded = None
+        if place is None:
+            mat = None
             amps = sv.apply_cnot_array(amps, op.qubits[0], op.qubits[1], nq)
         else:
-            recorded = _block_matrix(circuit, block, theta, features)
-            amps = sv.apply_matrix(amps, recorded[0], op.qubits[0], nq)
+            mat = matrices[place[0]][0][place[1]]
+            amps = sv.apply_matrix(amps, mat, op.qubits[0], nq)
         if after_block is not None:
-            amps = after_block(amps, block, recorded)
-    return amps
+            amps = after_block(amps, block, mat)
+    return amps, matrices
 
 
 def bind(circuit: Circuit, theta: Sequence[float], features: np.ndarray,
@@ -216,7 +317,7 @@ def evaluate(circuit: Circuit, theta: Sequence[float], features: np.ndarray) -> 
     parameter bindings, one row per row of the (B, num_inputs) feature
     matrix, from one ``_run``."""
     theta, features = bind(circuit, theta, features)
-    return _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features)
+    return _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features)[0]
 
 
 def evaluate_expectations(
@@ -237,9 +338,11 @@ class CircuitRun(NamedTuple):
     amplitudes, where the adjoint reverse sweep
     (``gradients.adjoint_reverse``) starts.
 
-    ``matrices`` holds, per block of ``circuit.blocks``, the ``(mat,
-    factors)`` pair ``_block_matrix`` gave, None for a CNOT; the reverse
-    sweep un-computes the state with them."""
+    ``matrices`` is the run's ``_block_matrices``: per group of
+    ``circuit.plan``, the member-stacked fused matrices of its blocks and the
+    stacked matrices of each of their gate factors.  Block j is member i of
+    group g, ``(g, i) = circuit.plan.places[j]``; the reverse sweep
+    un-computes the state with its matrices."""
 
     observables: tuple
     raw: np.ndarray
@@ -255,18 +358,12 @@ def run_batch(
 ) -> CircuitRun:
     """The ``CircuitRun`` of a batch of feature rows, from one ``_run``."""
     theta, features = bind(circuit, theta, features, observables)
-    matrices = []
-
-    def record(amps, block, recorded):
-        matrices.append(recorded)
-        return amps
-
-    amps = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta, features,
-                after_block=record)
+    amps, matrices = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta,
+                          features)
     raw = np.empty((len(amps), len(observables)))
     for i, obs in enumerate(observables):
         raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return CircuitRun(tuple(observables), raw, amps, tuple(matrices))
+    return CircuitRun(tuple(observables), raw, amps, matrices)
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

@@ -124,10 +124,8 @@ _DATA_KEYS = {"feature_dim": (REQUIRED, int), "n_train": (None, int), "n_val": (
 _HQNN_KEYS = {"qubits": (HQNN_QUBITS, int)}
 # TrainConfig checks its own values
 _TRAIN_KEYS = {f.name: (f.default, object) for f in fields(TrainConfig)}
-# a `params` scaling config: the experiment's keys, each type-checked but
-# none required, and its `scaling` section
-_SCALING_TOP_KEYS = {key: (None if default is REQUIRED else default, kind)
-                     for key, (default, kind) in _TOP_KEYS.items()}
+# a `params` scaling config holds its `scaling` section and a variant only
+_SCALING_TOP_KEYS = {"variant": _TOP_KEYS["variant"], "scaling": (REQUIRED, dict)}
 _SCALING_KEYS = {"task_counts": (REQUIRED, list), "outputs": (REQUIRED, int),
                  "layers": (REQUIRED, int), "k_theta": (REQUIRED, int),
                  "head_layers": (REQUIRED, int), "head_size": (REQUIRED, int)}
@@ -386,8 +384,8 @@ def eval_logits(head_model, params, features, *, shots=None, noise=None, seed=0)
 def cmd_params(args) -> int:
     config = load_config(args)
     if "scaling" in config:
-        _known_variant(_read_section(config, "config", _SCALING_TOP_KEYS)["variant"])
         s = _read_section(config["scaling"], "scaling", _SCALING_KEYS)
+        _known_variant(_read_section(config, "config", _SCALING_TOP_KEYS)["variant"])
         counts = s.pop("task_counts")
         if not counts or not all(isinstance(t, int) and not isinstance(t, bool)
                                  for t in counts):

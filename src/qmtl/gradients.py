@@ -4,7 +4,8 @@ uses, and the independent oracles that check it.
 Training differentiates the circuit by the adjoint method, with one circuit
 run per step: the forward that gives the logits (``circuit.run_batch``)
 keeps its final state, and each fused gate block's matrix with the matrix
-of every gate factor in it (``circuit.blocks``, ``circuit.FACTORS``), and
+of every gate factor in it (``circuit.blocks``, ``circuit.FACTORS``),
+stacked per signature group of ``circuit.plan``, and
 ``adjoint_reverse`` sweeps back from it, un-computing the state one block at
 a time with the recorded U^dagger, so its cost does not grow with the number
 of parameters.  Within a block the sweep carries one (B, 2, 2) cross matrix
@@ -220,29 +221,31 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
 
     dtheta = np.zeros(circuit.num_trainable)
     dinputs = np.zeros((psi.shape[0], circuit.num_inputs))
-    for block, recorded in zip(reversed(circuit.blocks), reversed(run.matrices)):
+    for block, place in zip(reversed(circuit.blocks), reversed(circuit.plan.places)):
         op = circuit.ops[block[0]]
-        if recorded is None:  # a CNOT, its own inverse
+        if place is None:  # a CNOT, its own inverse
             psi = sv.apply_cnot_array(psi, op.qubits[0], op.qubits[1], nq)
             lam = sv.apply_cnot_array(lam, op.qubits[0], op.qubits[1], nq)
             continue
-        mat, factors = recorded
+        g, i = place
+        group = circuit.plan.groups[g]
+        fused, factors = run.matrices[g]
         qubit = op.qubits[0]
-        live = [k for k, (_, ref, _) in enumerate(factors)
-                if ref is not None and ref.kind != "const"]
+        live = [k for k, (_, refs) in enumerate(group.factors)
+                if refs is not None and refs[i].kind != "const"]
         if live:
             cross = _cross(psi, lam, qubit, nq)
             for k in range(len(factors) - 1, live[0] - 1, -1):
-                axis, ref, factor = factors[k]
                 if k in live:
+                    axis, refs = group.factors[k]
                     grad = _pauli_pick(cross, axis)
-                    if ref.kind == "theta":
-                        dtheta[ref.index] += grad.sum()
+                    if refs[i].kind == "theta":
+                        dtheta[refs[i].index] += grad.sum()
                     else:
-                        dinputs[:, ref.index] += grad
+                        dinputs[:, refs[i].index] += grad
                 if k > live[0]:
-                    cross = _step_back(cross, factor)
-        inverse = np.conj(np.swapaxes(mat, -1, -2))
+                    cross = _step_back(cross, factors[k][i])
+        inverse = np.conj(np.swapaxes(fused[i], -1, -2))
         psi = sv.apply_matrix(psi, inverse, qubit, nq)
         lam = sv.apply_matrix(lam, inverse, qubit, nq)
     return dtheta, dinputs

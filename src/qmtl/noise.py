@@ -12,9 +12,14 @@ fidelity f (``_fidelity``).  Two engines estimate its expectations, and
   density matrix rho of each row stored as 2Q-qubit amplitudes (row bits
   0..Q-1, column bits Q..2Q-1) and run through ``circuit.blocks`` as a
   state, all rows in one pass, in chunks of at most 2**MAX_QUBITS
-  amplitudes.  A block U on qubit q is U on bit q and conj(U) on bit q + Q,
-  then one depolarizing update.  The result does not depend on the
-  trajectory count or the seed.
+  amplitudes.  A block U on qubit q is U on bit q (``circuit._run``), then
+  conj(U) on bit q + Q, one matmul over the contiguous bits below it, then
+  the twirl in place: it scales rho by f and adds to the entries whose row
+  and column bits of q agree (``_depolarize``).  Tr(P rho) of every
+  observable P comes from one gather of 2**Q entries per observable, from
+  a table worked out once per register size and observable list
+  (``_readout``).  The result does not depend on the trajectory count or
+  the seed.
 * ``"trajectories"`` otherwise: per feature row, T Monte-Carlo trajectories,
   one per row of a (T, 2**Q) amplitude array, run together through one pass
   over ``circuit.blocks``, from the same seed for every feature row.  After
@@ -28,6 +33,7 @@ fidelity f (``_fidelity``).  Two engines estimate its expectations, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,6 +55,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
             raise ValueError("depolarizing probabilities must be in [0, 1]")
+        if (not isinstance(self.num_trajectories, (int, np.integer))
+                or isinstance(self.num_trajectories, bool)):
+            raise ValueError(f"num_trajectories must be an integer, "
+                             f"got {self.num_trajectories!r}")
         if self.num_trajectories < 1:
             raise ValueError("num_trajectories must be >= 1")
 
@@ -60,7 +70,7 @@ _PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "
 
 # rho's 4**Q amplitudes against T trajectories of 2**Q, timed per row of a
 # glue-like register (3 entangling layers, one BLAS thread): the exact engine
-# is at least 2x faster than 500 trajectories up to Q = 7, about as fast at
+# is at least 2x faster than 500 trajectories up to Q = 7, 1.3x faster at
 # Q = 8 and slower from Q = 9 on, as its cost grows 4x per qubit and theirs 2x
 EXACT_QUBITS = 7
 
@@ -101,21 +111,39 @@ def noisy_expectations(
 
 def _depolarize(rho: np.ndarray, qubits: tuple, f: float, num_qubits: int) -> np.ndarray:
     """rho -> f rho + (1 - f) I/2**k (x) Tr_qubits rho on each row of 2Q-qubit
-    amplitudes: the uniform twirl on k qubits, with f = 1 - 4**k p / (4**k - 1)."""
-    v = rho.reshape(rho.shape[:-1] + (2,) * (2 * num_qubits))
-    # axis of amplitude bit b is last - b: row bit q, column bit q + Q
-    last = v.ndim - 1
-    diagonals = []
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        index = [slice(None)] * v.ndim
-        for q, bit in zip(qubits, bits):
-            index[last - q] = index[last - q - num_qubits] = bit
-        diagonals.append(v[tuple(index)])
+    amplitudes, in place: the uniform twirl on k qubits, with f = 1 - 4**k p
+    / (4**k - 1).  It adds to rho's diagonal blocks on the qubits (row bits
+    = column bits, ``_diagonals``) and scales the rest."""
+    shape, indices = _diagonals(qubits, num_qubits)
+    v = rho.reshape(rho.shape[:-1] + shape)
+    diagonals = [v[index] for index in indices]
     mixed = (1.0 - f) / len(diagonals) * sum(diagonals)
     v *= f
     for diagonal in diagonals:
         diagonal += mixed
     return v.reshape(rho.shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonals(qubits: tuple, num_qubits: int) -> tuple:
+    """``(shape, indices)``: a view shape of 2Q-qubit amplitudes with an axis
+    of 2 for each row bit q and column bit q + Q of ``qubits`` and one for
+    each run of other bits, and per setting of the qubits' bits the index of
+    the entries whose row and column bits both take it."""
+    marked = sorted([*qubits, *(q + num_qubits for q in qubits)], reverse=True)
+    shape, top = [], 2 * num_qubits
+    for bit in marked:
+        shape += [1 << (top - bit - 1), 2]
+        top = bit
+    shape.append(1 << top)
+    axis = {bit: 2 * i + 1 for i, bit in enumerate(marked)}
+    indices = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        index = [slice(None)] * len(shape)
+        for q, bit in zip(qubits, bits):
+            index[axis[q]] = index[axis[q + num_qubits]] = bit
+        indices.append((Ellipsis, *index))
+    return tuple(shape), tuple(indices)
 
 
 def _fidelity(circuit: Circuit, block: tuple, p1: float, p2: float) -> float:
@@ -127,21 +155,56 @@ def _fidelity(circuit: Circuit, block: tuple, p1: float, p2: float) -> float:
 
 
 def _density_channel(circuit: Circuit, p1: float, p2: float):
-    """``_run``'s ``after_block`` for rho: a block's column half (conj(U) on the
-    column bits) and its depolarizing update."""
+    """``_run``'s ``after_block`` for rho: a block's column half, then its
+    twirl (``_depolarize``).  A 1-qubit block's column half, conj(U) on
+    column bit q + Q, is one matmul, as the bits below that bit are
+    contiguous; a CNOT's is a swap on the column bits.
+
+    Column half and twirl as one 4x4 map on the bit pair (q + Q, q) would
+    need two transposing copies of rho, one each way: per row of a
+    glue-like-shaped register that was no faster at Q = 4 and took 1.8x as
+    long at Q = 7 (one BLAS thread)."""
     nq = circuit.num_qubits
     fidelity = {block: _fidelity(circuit, block, p1, p2) for block in circuit.blocks}
 
-    def after_block(rho, block, recorded):
+    def after_block(rho, block, mat):
         qubits = circuit.ops[block[0]].qubits
-        if recorded is None:
+        if mat is None:
             rho = sv.apply_cnot_array(rho, qubits[0] + nq, qubits[1] + nq, 2 * nq)
         else:
-            rho = sv.apply_matrix(rho, np.conj(recorded[0]), qubits[0] + nq, 2 * nq)
+            left = np.conj(mat) if mat.ndim == 2 else np.conj(mat)[:, None]
+            columns = rho.reshape(len(rho), -1, 2, 1 << (qubits[0] + nq))
+            rho = (left @ columns).reshape(rho.shape)
         f = fidelity[block]
         return rho if f == 1.0 else _depolarize(rho, qubits, f, nq)
 
     return after_block
+
+
+@functools.lru_cache(maxsize=64)
+def _readout(num_qubits: int, observables: tuple) -> tuple:
+    """``(index, phase)``, each (n_obs, 2**Q), such that Tr(P rho) = sum_r
+    phase[o, r] rho[index[o, r]] for observable o = P: the amplitude of
+    rho[r ^ flip_P, r], where flip_P has the bits of P's X and Y factors,
+    and P's entry there, a product of 1 - 2 r_q per Z factor and
+    -i (1 - 2 r_q) per Y factor."""
+    r = np.arange(1 << num_qubits)
+    index = np.empty((len(observables), len(r)), dtype=np.intp)
+    phase = np.ones((len(observables), len(r)), dtype=complex)
+    for o, obs in enumerate(observables):
+        flip = 0
+        for q, axis in obs.terms:
+            sign = 1 - 2 * ((r >> q) & 1)
+            if axis != "Z":
+                flip |= 1 << q
+            if axis == "Z":
+                phase[o] *= sign
+            elif axis == "Y":
+                phase[o] *= -1j * sign
+        index[o] = (r ^ flip) + (r << num_qubits)
+    # every call with these observables gets these arrays
+    index.flags.writeable = phase.flags.writeable = False
+    return index, phase
 
 
 def _density_matrix(
@@ -157,18 +220,15 @@ def _density_matrix(
     nq = circuit.num_qubits
     channel = _density_channel(circuit, p1, p2)
     chunk = max(1, (1 << MAX_QUBITS) >> (2 * nq))
-    # Tr(P rho): the diagonal r = c, amplitude r + (c << Q), of P on the row bits
-    diagonal = np.arange(1 << nq) * ((1 << nq) + 1)
+    index, phase = _readout(nq, tuple(observables))
     out = np.empty((len(features), len(observables)))
     for start in range(0, len(features), chunk):
         rows = features[start:start + chunk]
-        rho = _run(sv.zero_batch(2 * nq, len(rows)), circuit, theta, rows, after_block=channel)
-        for i, obs in enumerate(observables):
-            acted = sv.apply_pauli_string(rho, obs.as_dict(), 2 * nq)
-            # take, unlike acted[:, diagonal], is C-ordered, so a row's sum does
-            # not depend on how many rows share the chunk
-            out[start:start + len(rows), i] = np.real(
-                np.take(acted, diagonal, axis=-1).sum(axis=-1))
+        rho, _ = _run(sv.zero_batch(2 * nq, len(rows)), circuit, theta, rows,
+                      after_block=channel)
+        # take is C-ordered, so a row's sum does not depend on how many rows
+        # share the chunk
+        out[start:start + len(rows)] = np.real((np.take(rho, index, axis=-1) * phase).sum(-1))
     return out
 
 
@@ -189,7 +249,7 @@ def _trajectories(
     nq = circuit.num_qubits
     rng = np.random.default_rng(noise.seed)
 
-    def hook(amps, block, recorded):
+    def hook(amps, block, mat):
         """Insert a sampled Pauli after the block into each row of ``amps`` that is hit."""
         qubits = circuit.ops[block[0]].qubits
         # the rate at which the block's twirl applies a non-identity Pauli
@@ -211,7 +271,7 @@ def _trajectories(
     total = np.zeros(len(observables))
     for start in range(0, noise.num_trajectories, chunk):
         amps = sv.zero_batch(nq, min(chunk, noise.num_trajectories - start))
-        amps = _run(amps, circuit, theta, features, after_block=hook)
+        amps, _ = _run(amps, circuit, theta, features, after_block=hook)
         for i, obs in enumerate(observables):
             total[i] += sv.expectation_array(amps, obs.as_dict(), nq).sum()
     return total / noise.num_trajectories

@@ -91,6 +91,7 @@ def gate_matrix(kind: str, angles: Sequence = ()) -> np.ndarray:
 # below this qubit the (..., 2, 2**q) slices have fewer than 16 columns, too
 # few for a matmul to pay off, so apply_matrix folds the qubits below in
 _FOLD_QUBITS = 4
+_EYES = tuple(np.eye(1 << q) for q in range(_FOLD_QUBITS))
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -106,7 +107,7 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int)
     if qubit < _FOLD_QUBITS:
         low = 1 << qubit
         width = 2 * low
-        block = mat[..., :, None, :, None] * np.eye(low)[:, None, :]
+        block = mat[..., :, None, :, None] * _EYES[qubit][:, None, :]
         block = block.reshape(mat.shape[:-2] + (width, width))
         rows = (-1,) if mat.ndim == 2 else batch + (-1,)
         out = amps.reshape(rows + (width,)) @ np.swapaxes(block, -1, -2)

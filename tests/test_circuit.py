@@ -9,7 +9,6 @@ from qmtl import circuit as circuit_module
 from qmtl.circuit import (
     Circuit,
     GateOp,
-    _resolve,
     _run,
     const,
     evaluate,
@@ -31,6 +30,15 @@ from qmtl.statevector import (
     zero_batch,
 )
 from test_statevector import dense_1q, dense_cnot
+
+
+def _resolve(ref, theta, features):
+    """The angle of one ParamRef; ``features`` may be (d,) or (B, d)."""
+    if ref.kind == "theta":
+        return theta[ref.index]
+    if ref.kind == "input":
+        return features[..., ref.index]
+    return ref.value
 
 
 def _bell_circuit():
@@ -77,7 +85,6 @@ def test_circuit_followed_by_inverse_is_identity():
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     amps = evaluate(circuit, theta, [[]])[0]
     # apply the inverse ops in reverse order
-    from qmtl.circuit import _resolve
     from qmtl.statevector import apply_matrix, apply_cnot_array, gate_matrix
 
     for op in reversed(circuit.ops):
@@ -217,7 +224,7 @@ def _check_run_against_dense(circuit, rng, rows=3):
     features = rng.uniform(-np.pi, np.pi, (rows, circuit.num_inputs))
     dim = 1 << circuit.num_qubits
     amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
-    out = _run(amps, circuit, theta, features)
+    out, _ = _run(amps, circuit, theta, features)
     for b in range(rows):
         expected = _gate_by_gate(circuit, theta, features[b]) @ amps[b]
         np.testing.assert_allclose(out[b], expected, atol=1e-12)
@@ -242,7 +249,7 @@ def test_run_keeps_the_norm(seed, nq, depth):
     features = rng.uniform(-np.pi, np.pi, (3, 2))
     amps = rng.normal(size=(3, 1 << nq)) + 1j * rng.normal(size=(3, 1 << nq))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    out = _run(amps, circuit, theta, features)
+    out, _ = _run(amps, circuit, theta, features)
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
@@ -266,7 +273,7 @@ def test_random_circuit_then_its_inverse_returns_to_zero(seed, nq, depth):
     row = rng.uniform(-np.pi, np.pi, 2)
     both = Circuit(nq, [*circuit.ops, *_inverse_ops(circuit, theta, row)],
                    circuit.num_trainable, circuit.num_inputs)
-    out = _run(zero_batch(nq, 1), both, theta, row[None])
+    out, _ = _run(zero_batch(nq, 1), both, theta, row[None])
     np.testing.assert_allclose(out, zero_batch(nq, 1), rtol=0, atol=1e-12)
 
 

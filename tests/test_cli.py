@@ -56,7 +56,8 @@ _BAD_SCALING = {
     "variant": (lambda cfg: cfg.update(variant="bogus"), "unknown head variant 'bogus'"),
     "task_counts-empty": (lambda cfg: cfg["scaling"].update(task_counts=[]), "non-empty"),
     "task_counts-bool": (lambda cfg: cfg["scaling"].update(task_counts=[True]), "task_counts"),
-    "heads": (lambda cfg: cfg.update(heads=3), "'heads' must be a list"),
+    # a scaling config holds `variant` and `scaling` only
+    "heads": (lambda cfg: cfg.update(heads=3), "unknown config keys: ['heads']"),
 }
 
 
@@ -71,6 +72,15 @@ def test_params_refuses_a_bad_scaling_config(tmp_path, capsys, fault):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and needle in captured.err
     assert captured.out == ""  # no table
+
+
+def test_params_refuses_other_sections_beside_scaling(tmp_path, capsys):
+    config = dict(get_preset("theorem1"), heads=[{"bogus": 1}], train={"lr": -5})
+    assert set(get_preset("theorem1")) == {"variant", "scaling"}
+    path = tmp_path / "scaling.json"
+    path.write_text(json.dumps(config))
+    err = _fails_cleanly(["params", "--config", str(path)], capsys)
+    assert "unknown config keys: ['heads', 'train']" in err
 
 
 def test_gradcheck_passes(capsys):

@@ -276,19 +276,18 @@ def test_adjoint_reverse_is_repeatable_and_leaves_the_run_as_it_is():
     circuit, theta, features, observables, weights = _random_problem(3)
     run = circuit_module.run_batch(circuit, theta, features, observables)
     amps = run.amps.copy()
-    def flat(recorded):  # the fused matrix, then each factor's
-        return [recorded[0], *(m for *_, m in recorded[1])]
+    def flat(recorded):  # a group's fused stack, then each factor's
+        return [recorded[0], *recorded[1]]
 
-    matrices = [None if rec is None else [m.copy() for m in flat(rec)] for rec in run.matrices]
+    matrices = [[m.copy() for m in flat(rec)] for rec in run.matrices]
     first = adjoint_reverse(circuit, run, weights)
     second = adjoint_reverse(circuit, run, weights)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
     assert np.array_equal(run.amps, amps)
-    assert len(run.matrices) == len(circuit.blocks) == len(matrices)
+    assert len(run.matrices) == len(circuit.plan.groups) == len(matrices)
     for recorded, kept in zip(run.matrices, matrices):
-        assert (recorded is None and kept is None) or all(
-            np.array_equal(a, b) for a, b in zip(flat(recorded), kept, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(flat(recorded), kept, strict=True))
 
 
 @pytest.mark.parametrize("bound", ["theta", "input"])
@@ -353,25 +352,67 @@ def test_loss_gradient_runs_the_circuit_once(monkeypatch, variant):
     assert len(runs) == 1
 
 
-def test_loss_gradient_builds_each_factor_matrix_once(monkeypatch):
-    """The forward builds one matrix per gate factor; the reverse sweep
-    steps back through those and builds none."""
+_ROTATIONS = {"X": "rx", "Y": "ry", "Z": "rz"}
+
+
+def _toy_problem(layers):
     config = get_preset("toy")
+    config["encoder"] = dict(config["encoder"], layers=layers)
+    config["data"] = dict(config["data"], feature_dim=config["encoder"]["qubits"] * layers)
     specs = cli.task_specs_from(config)
     train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
     model = cli.head_model_from(config, specs)
-    batch = train_data.subset(np.arange(64))
+    return model, specs, train_data.subset(np.arange(64))
+
+
+def _counted_builds(monkeypatch):
     built = []
-    gate_matrix = sv.gate_matrix
+    for kind, build in list(circuit_module._BUILDERS.items()):
+        def counted(angles, kind=kind, build=build):
+            built.append(kind)
+            return build(angles)
+        monkeypatch.setitem(circuit_module._BUILDERS, kind, counted)
+    return built
 
-    def counted(kind, angles=()):
-        built.append(kind)
-        return gate_matrix(kind, angles)
 
-    monkeypatch.setattr(sv, "gate_matrix", counted)
-    loss_gradient(model, model.init_params(0), batch.features, batch.labels, specs)
-    ops = model.model.circuit.ops
-    factors = [kind for op in ops for kind, *_ in FACTORS.get(op.kind, ())]
-    assert sorted(built) == sorted(factors)
-    # toy's rot gates have 3 factors each, so one matrix per op would not pass
-    assert len(factors) > sum(op.kind != "cnot" for op in ops)
+@pytest.mark.parametrize("layers", [3, 6])
+def test_a_run_builds_one_rotation_stack_per_group_and_kind(monkeypatch, layers):
+    """``run_batch`` makes one rotation-matrix build per (signature group,
+    rotation kind), however deep the encoder; the reverse sweep of a loss
+    gradient builds none.  Every recorded factor matrix is the bits of
+    ``sv.gate_matrix`` on its own angle."""
+    model, specs, batch = _toy_problem(layers)
+    circuit = model.model.circuit
+    params = model.init_params(0)
+    theta = params[: model.model.num_circuit_params]
+    built = _counted_builds(monkeypatch)
+    run = run_batch(circuit, theta, batch.features, model.model.observables)
+    expected = sorted(kind for group in circuit.plan.groups for kind, *_ in group.builds)
+    assert sorted(built) == expected == ["rx", "ry", "rz"]
+    rotations = sum(refs is not None for group in circuit.plan.groups
+                    for _, refs in group.factors) * len(circuit.plan.groups[0].members)
+    assert rotations > 10 * len(built)
+    built.clear()
+    loss_gradient(model, params, batch.features, batch.labels, specs)
+    assert sorted(built) == expected
+
+    for j, place in enumerate(circuit.plan.places):
+        if place is None:
+            continue
+        g, i = place
+        factors = [op_factor for op_idx in circuit.blocks[j]
+                   for op_factor in FACTORS[circuit.ops[op_idx].kind]]
+        for (kind, axis, slot), (plan_axis, refs), stack in zip(
+                factors, circuit.plan.groups[g].factors, run.matrices[g][1], strict=True):
+            assert axis == plan_axis
+            if refs is None:
+                assert np.array_equal(stack[i], sv.gate_matrix(kind))
+                continue
+            ref = refs[i]
+            angle = {"theta": lambda: theta[ref.index],
+                     "input": lambda: batch.features[:, ref.index],
+                     "const": lambda: ref.value}[ref.kind]()
+            assert _ROTATIONS[axis] == kind
+            expected_mat = sv.gate_matrix(kind, (angle,))
+            assert stack[i].shape == expected_mat.shape
+            assert np.array_equal(stack[i], expected_mat)

@@ -19,7 +19,7 @@ from qmtl.circuit import (
 )
 from qmtl.errors import CapacityError
 from qmtl.noise import NoiseSpec, engine, noisy_expectations
-from qmtl.statevector import gate_matrix, pauli, zero_batch
+from qmtl.statevector import PauliString, gate_matrix, pauli, zero_batch
 
 
 def _ry_circuit():
@@ -33,6 +33,21 @@ def test_noise_spec_validation():
         NoiseSpec(p1=0.0, p2=1.5)
     with pytest.raises(ValueError):
         NoiseSpec(p1=0.1, p2=0.1, num_trajectories=0)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(4.0), "4"])
+def test_noise_spec_refuses_a_trajectory_count_that_is_no_integer(count):
+    with pytest.raises(ValueError, match="num_trajectories"):
+        NoiseSpec(p1=0.1, p2=0.1, num_trajectories=count)
+
+
+def test_noise_spec_takes_a_numpy_integer_trajectory_count(monkeypatch):
+    circuit = Circuit(2, [GateOp("h", (0,)), GateOp("cnot", (0, 1))], 0, 0)
+    monkeypatch.setattr(noise_module, "EXACT_QUBITS", 1)  # the trajectory engine
+    spec = NoiseSpec(p1=0.1, p2=0.1, num_trajectories=np.int64(30), seed=2)
+    values = noisy_expectations(circuit, (), [[]], [pauli("Z0*Z1")], spec)
+    assert np.array_equal(values, noisy_expectations(
+        circuit, (), [[]], [pauli("Z0*Z1")], replace(spec, num_trajectories=30)))
 
 
 def test_zero_noise_is_bitwise_exact():
@@ -74,10 +89,11 @@ def test_two_qubit_noise_attenuates_entangled_expectation():
     exact = evaluate_expectations(circuit, (), (), obs)
     assert exact[0] == pytest.approx(1.0)
     noise = NoiseSpec(p1=0.0, p2=0.3, num_trajectories=3000, seed=0)
+    assert engine(circuit.num_qubits) == "density_matrix"
     (noisy,) = noisy_expectations(circuit, (), [[]], obs, noise)[0]
-    # Pauli insertion after the CNOT flips ZZ for 8 of 15 choices:
-    # E = 1 - p2 * 16/15... empirically just require clear attenuation
-    assert 0.5 < noisy < 0.95
+    # a Pauli inserted after the CNOT flips ZZ for 8 of the 15 choices, so
+    # <ZZ> = 1 - 2 * 8/15 * p2 = 1 - 16 p2 / 15
+    assert noisy == pytest.approx(1.0 - 16.0 * 0.3 / 15.0, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +356,28 @@ def test_density_matrix_engine_matches_oracle(p1, p2):
     np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("nq", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p1, p2", [(0.02, 0.1), (0.75, 15 / 16), (1.0, 1.0)])
+def test_density_matrix_readout_matches_oracle_on_x_y_and_mixed_strings(nq, p1, p2):
+    """The readout table's flips and phases, Y's -i (1 - 2 r_q) above all."""
+    rng = np.random.default_rng(nq)
+    circuit = random_circuit(nq, 25, rng, num_inputs=2)
+    theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
+    rows = rng.uniform(-np.pi, np.pi, (3, 2))
+    cycle = "XYZ" * nq
+    observables = [PauliString({q: "X" for q in range(nq)}),
+                   PauliString({q: "Y" for q in range(nq)}),
+                   PauliString({q: cycle[q] for q in range(nq)}),
+                   PauliString({q: cycle[q + 1] for q in range(nq)}),
+                   PauliString({nq - 1: "Y"}), pauli("X0")]
+    values = noisy_expectations(circuit, theta, rows, observables, NoiseSpec(p1=p1, p2=p2))
+    oracles = np.array([_density_matrix_expectations(circuit, theta, row, observables, p1, p2)
+                        for row in rows])
+    np.testing.assert_allclose(values, oracles, rtol=0, atol=1e-12)
+    if p1 < 0.5:  # a sign error on a Y phase would show
+        assert np.abs(oracles[:, 1:5]).max() > 0.05
+
+
 # a batch is split into chunks that fit the budget; one row above it is refused
 @pytest.mark.parametrize("num_qubits, rows", [(13, 1)])
 def test_density_matrix_batch_refused_before_allocation(num_qubits, rows):
@@ -375,8 +413,8 @@ def test_noisy_density_matrix_keeps_trace_one_and_stays_hermitian(seed, nq, dept
     circuit = random_circuit(nq, depth, rng, num_inputs=2)
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     rows = rng.uniform(-np.pi, np.pi, (2, 2))
-    rho = _run(zero_batch(2 * nq, 2), circuit, theta, rows,
-               after_block=noise_module._density_channel(circuit, p1, p2))
+    rho, _ = _run(zero_batch(2 * nq, 2), circuit, theta, rows,
+                  after_block=noise_module._density_channel(circuit, p1, p2))
     dim = 1 << nq
     # amplitude r + (c << Q) is rho[r, c], so the reshape gives rho transposed
     for mat in rho.reshape(2, dim, dim):
