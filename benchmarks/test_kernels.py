@@ -1,9 +1,10 @@
 """Micro-benchmarks of the statevector kernels at Q = 4, 10 and 13, of
-one noisy block on a density matrix at Q = 4 and 10, of shot sampling
-at Q = 4 and 10, and of one training step's circuit gradient
-(``loss_gradient``), its reverse sweep alone (``adjoint_reverse``) and the
-build of every block matrix of its run (``circuit._block_matrices``) on a
-``toy`` and a ``glue-like`` batch.
+per-row matrices at Q = 6 and 7, either side of the width up to which
+``apply_matrix`` writes them out, of one noisy block on a density matrix at
+Q = 4 and 10, of shot sampling at Q = 4 and 10, and of one training step's
+circuit gradient (``loss_gradient``), its reverse sweep alone
+(``adjoint_reverse``) and the build of every block matrix of its run
+(``circuit._block_matrices``) on a ``toy`` and a ``glue-like`` batch.
 
 Run from the repository root with
 
@@ -19,8 +20,9 @@ amplitudes (512 KB), as in a ``toy`` (Q = 4) or ``glue-like`` (Q = 10) batch.
 A density matrix is one row of 4**Q amplitudes, as the exact noise engine
 stores each feature row's.  Shot sampling draws 4096 shots of one state's
 1-D amplitudes, as ``model.forward`` does per row and commuting group.
-A noisy 1-qubit block is one 2x2 pass on its row bit and one 4x4 pair map
-on its column and row bits; a CNOT is two swaps and a depolarizing update.
+A noisy 1-qubit block is one 2x2 pass on its row bit, one on its column
+bit and a depolarizing update; a CNOT is two swaps and a depolarizing
+update.
 The gradient cases take the ``toy`` preset's first 64 training rows with
 every task, and the first 32 labeled ``glue-like`` rows of its first task,
 shaped like the one-task batch of a ``task_sampled`` step; the reverse
@@ -48,6 +50,8 @@ from qmtl.statevector import (
 
 # (Q, B): qubits and rows
 SIZES = [(4, 64), (10, 32), (13, 4)]
+# per-row matrices only, either side of statevector._WRITTEN_OUT_QUBITS
+PER_ROW_SIZES = [(6, 64), (7, 64)]
 
 
 def _amps(num_qubits, rows, rng):
@@ -56,9 +60,9 @@ def _amps(num_qubits, rows, rng):
 
 
 def _matrix_cases():
-    for nq, rows in SIZES:
+    for nq, rows in SIZES + PER_ROW_SIZES:
         for qubit in sorted({0, 1, nq // 2, nq - 1}):
-            for kind in ("shared", "per_row"):
+            for kind in ("shared", "per_row") if (nq, rows) in SIZES else ("per_row",):
                 yield pytest.param(nq, rows, qubit, kind, id=f"Q{nq}-B{rows}-q{qubit}-{kind}")
 
 

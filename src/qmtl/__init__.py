@@ -55,9 +55,7 @@ from .model import (
 from .gradients import (
     adjoint_vjp,
     finite_diff_jacobian,
-    input_shift_jacobian_batch,
     loss_gradient,
-    param_shift_jacobian,
     param_shift_jacobian_batch,
 )
 from .losses import MISSING, TaskSpec, class_weights

@@ -209,12 +209,16 @@ def gate_blocks(circuit: Circuit) -> list:
 
 def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for two member-stacked 2x2 matrices, each (n, 2, 2) or
-    per row (n, B, 2, 2)."""
+    per row (n, B, 2, 2): one matmul for two shared stacks, and
+    ``sv.mul_2x2`` when either is per row, so a row's bits do not depend on
+    the batch."""
+    if a.ndim == b.ndim == 3:
+        return a @ b
     if a.ndim < b.ndim:
         a = a[:, None]
     elif b.ndim < a.ndim:
         b = b[:, None]
-    return a @ b
+    return sv.mul_2x2(a, b)
 
 
 def _block_matrices(circuit: Circuit, theta: np.ndarray, features: np.ndarray) -> tuple:
@@ -227,9 +231,9 @@ def _block_matrices(circuit: Circuit, theta: np.ndarray, features: np.ndarray) -
     Each group gathers its angles of one rotation kind with one fancy index
     (``features`` for input slots, ``theta`` and the circuit's constants for
     the rest) and builds their matrices in one call.  A gate's factors are
-    multiplied last acting first, so that a rot groups as ``sv.rot_matrix``
-    does, (rz(g) @ ry(b)) @ rz(a), and each gate then left-multiplies the
-    block's product so far."""
+    multiplied last acting first, so that a rot groups as
+    (rz(g) @ ry(b)) @ rz(a), and each gate then left-multiplies the block's
+    product so far, each product by ``_stack_mul``."""
     table = np.concatenate((theta, circuit.plan.consts))
     rows = features.shape[:-1]
     columns = features.T

@@ -21,7 +21,7 @@ from . import __version__
 from .circuit import random_circuit
 from .data import SyntheticSpec, gen_synthetic
 from .errors import ConfigError, QmtlError
-from .gradients import SHIFT, adjoint_vjp, finite_diff_jacobian, param_shift_jacobian
+from .gradients import SHIFT, adjoint_vjp, finite_diff_jacobian, param_shift_jacobian_batch
 from .losses import TaskSpec
 from .model import (
     Calibration,
@@ -31,6 +31,7 @@ from .model import (
     QmtlModelConfig,
     SharedEncoderConfig,
     TaskHeadConfig,
+    count_ops,
     count_params_quantum,
     forward,
     logits_from_raw,
@@ -38,7 +39,7 @@ from .model import (
 )
 from .noise import EXACT_QUBITS, NoiseSpec, engine, noisy_expectations
 from .presets import PRESETS, get_preset
-from .statevector import PauliString
+from .statevector import MAX_QUBITS, PauliString
 from .trainer import TrainConfig, evaluate, report_from_logits, resolve_class_weights, train
 
 VARIANTS = ("qmtl", "classical", "hqnn")
@@ -129,6 +130,12 @@ _SCALING_TOP_KEYS = {"variant": _TOP_KEYS["variant"], "scaling": (REQUIRED, dict
 _SCALING_KEYS = {"task_counts": (REQUIRED, list), "outputs": (REQUIRED, int),
                  "layers": (REQUIRED, int), "k_theta": (REQUIRED, int),
                  "head_layers": (REQUIRED, int), "head_size": (REQUIRED, int)}
+
+# size budgets beside the 2**MAX_QUBITS amplitudes, checked at parse time before anything
+# is allocated or built: (n_train + n_val) * feature_dim data values, gates, a task's classes
+MAX_DATA_VALUES = 1 << MAX_QUBITS
+MAX_OPS = 1 << 16
+MAX_CLASSES = 1 << 10
 
 
 def _read_section(section, where: str, table: dict) -> dict:
@@ -242,14 +249,29 @@ def parse_experiment(config: dict) -> Experiment:
                               f"consumes qubits * layers = {encoder.feature_dim} features")
         if variant == "qmtl":
             model = QmtlModelConfig(encoder, heads)
+    hqnn_qubits = _read_section(top["hqnn"], "hqnn", _HQNN_KEYS)["qubits"]
+    _check_sizes(data, model, hqnn_qubits)
     exp = Experiment(
         raw=config, variant=variant, specs=tuple(specs), feature_dim=d["feature_dim"],
         model=model, data=None if None in (d["n_train"], d["n_val"]) else data,
         train=TrainConfig(**_read_section(top["train"], "train", _TRAIN_KEYS)),
-        hqnn_qubits=_read_section(top["hqnn"], "hqnn", _HQNN_KEYS)["qubits"],
+        hqnn_qubits=hqnn_qubits,
     )
     exp.budget()  # every report holds it, so a config it cannot count is refused here
     return exp
+
+
+def _check_sizes(data: SyntheticSpec, model: Optional[QmtlModelConfig], hqnn_qubits: int) -> None:
+    """A ConfigError for a size above its budget; every report builds the
+    HQNN circuit, so its register is held to MAX_QUBITS here."""
+    for what, size, budget in [
+            ("data values, (n_train + n_val) * feature_dim",
+             (data.n_train + data.n_val) * data.feature_dim, MAX_DATA_VALUES),
+            ("circuit gates", 0 if model is None else count_ops(model), MAX_OPS),
+            ("hqnn 'qubits'", hqnn_qubits, MAX_QUBITS),
+            *((f"head {s.name!r} classes", s.num_classes, MAX_CLASSES) for s in data.tasks)]:
+        if size > budget:
+            raise ConfigError(f"{what}: {size}, above the budget of {budget}")
 
 
 # kept for callers outside the CLI (the benchmark, tools and tests); the
@@ -444,7 +466,8 @@ def cmd_gradcheck(args) -> int:
         theta = rng.uniform(0.0, 2 * np.pi, circuit.num_trainable)
         observables = _gradcheck_observables(args.qubits, rng)
         weights = rng.normal(size=(1, len(observables)))
-        analytic = param_shift_jacobian(circuit, theta, (), observables, shift=shift)
+        analytic = param_shift_jacobian_batch(circuit, theta, np.zeros((1, 0)), observables,
+                                              shift)[0]
         numeric = finite_diff_jacobian(circuit, theta, (), observables)
         _, adjoint, _ = adjoint_vjp(circuit, theta, np.zeros((1, 0)), observables, weights)
         dev = _max_dev(analytic, numeric)

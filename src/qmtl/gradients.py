@@ -90,23 +90,6 @@ def _shift_jacobian(circuit, theta, features, observables, kind, shift):
     return jac
 
 
-def param_shift_jacobian(
-    circuit: Circuit,
-    theta: Sequence[float],
-    features: Sequence[float],
-    observables: Sequence[PauliString],
-    shift: float = SHIFT,
-) -> np.ndarray:
-    """d<O_i>/d theta_j for one feature row, exact for Pauli-generated
-    rotations: row 0 of ``param_shift_jacobian_batch`` over a batch of one.
-
-    ``shift`` exists as a verification hook; anything other than pi/2
-    deliberately breaks exactness.
-    """
-    row = np.asarray(features, dtype=float)[None]
-    return _shift_jacobian(circuit, theta, row, observables, "theta", shift)[0]
-
-
 def param_shift_jacobian_batch(
     circuit: Circuit,
     theta: Sequence[float],
@@ -114,19 +97,10 @@ def param_shift_jacobian_batch(
     observables: Sequence[PauliString],
     shift: float = SHIFT,
 ) -> np.ndarray:
-    """(B, n_obs, n_theta) Jacobian over a batch of feature rows."""
+    """d<O_i>/d theta_j over a (B, d) feature matrix, (B, n_obs, n_theta),
+    exact for Pauli-generated rotations.  ``shift`` is a verification hook;
+    anything other than pi/2 deliberately breaks exactness."""
     return _shift_jacobian(circuit, theta, features, observables, "theta", shift)
-
-
-def input_shift_jacobian_batch(
-    circuit: Circuit,
-    theta: Sequence[float],
-    features: np.ndarray,
-    observables: Sequence[PauliString],
-    shift: float = SHIFT,
-) -> np.ndarray:
-    """(B, n_obs, n_inputs) Jacobian wrt input-bound rotation angles."""
-    return _shift_jacobian(circuit, theta, features, observables, "input", shift)
 
 
 def finite_diff_jacobian(
@@ -178,15 +152,13 @@ def _step_back(cross: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """The cross matrix of the states before the gate ``mat``: mat^T C conj(mat).
 
     A shared (2, 2) ``mat`` is one (B, 4) @ (4, 4) product with
-    kron(mat, conj(mat)); a per-row (B, 2, 2) one is written out, since a
-    stacked 2x2 ``@`` costs far more than its few elementwise products.
+    kron(mat, conj(mat)); a per-row (B, 2, 2) one is two ``sv.mul_2x2``
+    products.
     """
     if mat.ndim == 2:
         kron = (mat[:, None, :, None] * np.conj(mat)[None, :, None, :]).reshape(4, 4)
         return (cross.reshape(-1, 4) @ kron).reshape(cross.shape)
-    right = np.conj(mat)
-    right = cross[:, :, 0, None] * right[:, None, 0] + cross[:, :, 1, None] * right[:, None, 1]
-    return mat[:, 0, :, None] * right[:, None, 0] + mat[:, 1, :, None] * right[:, None, 1]
+    return sv.mul_2x2(np.swapaxes(mat, -1, -2), sv.mul_2x2(cross, np.conj(mat)))
 
 
 def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> tuple:

@@ -384,6 +384,13 @@ def count_params_quantum(config: QmtlModelConfig) -> ParamBudget:
     return ParamBudget(shared=shared, per_head=per_head)
 
 
+def count_ops(config: QmtlModelConfig) -> int:
+    """The gate count of ``assemble(config).circuit``, without building it."""
+    q, layers = config.encoder.num_qubits, config.encoder.layers
+    encoder = q + layers * (3 * q + (q - 1 if config.encoder.entangling else 0))
+    return encoder + sum(h.layers * h.size * (2 if h.size >= 2 else 1) for h in config.heads)
+
+
 def count_params_classical(feature_dim: int, outputs_per_task: Sequence[int]) -> int:
     """One linear layer per task: sum_t r_t * (d + 1)."""
     if feature_dim < 1:

@@ -117,7 +117,8 @@ def _depolarize(rho: np.ndarray, qubits: tuple, f: float, num_qubits: int) -> np
     shape, indices = _diagonals(qubits, num_qubits)
     v = rho.reshape(rho.shape[:-1] + shape)
     diagonals = [v[index] for index in indices]
-    mixed = (1.0 - f) / len(diagonals) * sum(diagonals)
+    mixed = functools.reduce(np.add, diagonals)  # sum() would add an int 0 first
+    mixed *= (1.0 - f) / len(diagonals)
     v *= f
     for diagonal in diagonals:
         diagonal += mixed

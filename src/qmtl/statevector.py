@@ -3,8 +3,8 @@
 A state is a plain complex array of shape (..., 2**num_qubits), one row per
 state; there is no wrapper type.  Basis indices are little-endian, i.e.
 qubit 0 is the least significant bit of the amplitude index.  Rotation
-gates follow the exp(-i*theta*P/2) convention; rot(a, b, g) =
-rz(g) @ ry(b) @ rz(a).  All arithmetic is complex128.
+gates follow the exp(-i*theta*P/2) convention.  All arithmetic is
+complex128.
 """
 
 from __future__ import annotations
@@ -59,31 +59,6 @@ def rz_matrix(theta):
     return m
 
 
-def rot_matrix(alpha, beta, gamma):
-    # rightmost factor acts first on the state
-    return rz_matrix(gamma) @ ry_matrix(beta) @ rz_matrix(alpha)
-
-
-ROTATION_GATES = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix, "rot": rot_matrix}
-
-
-def gate_matrix(kind: str, angles: Sequence = ()) -> np.ndarray:
-    """2x2 matrix for a named single-qubit gate (batched if angles are arrays)."""
-    if kind in FIXED_GATES:
-        if angles:
-            raise ValueError(f"gate {kind!r} takes no angles")
-        return FIXED_GATES[kind]
-    if kind == "rot":
-        if len(angles) != 3:
-            raise ValueError("rot takes exactly 3 angles")
-        return rot_matrix(*angles)
-    if kind in ROTATION_GATES:
-        if len(angles) != 1:
-            raise ValueError(f"gate {kind!r} takes exactly 1 angle")
-        return ROTATION_GATES[kind](angles[0])
-    raise ValueError(f"unknown single-qubit gate {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # array kernels: operate on amplitudes of shape (..., 2**num_qubits)
 
@@ -93,18 +68,36 @@ def gate_matrix(kind: str, angles: Sequence = ()) -> np.ndarray:
 _FOLD_QUBITS = 4
 _EYES = tuple(np.eye(1 << q) for q in range(_FOLD_QUBITS))
 
+# up to this register width apply_matrix writes a per-row matrix out
+# (``mul_2x2``); the rule reads no batch size, so a row's bits do not depend on
+# its batch.  Best-of-5 us per qubit, matmul -> written out, one BLAS thread,
+# 2-vCPU Xeon: it wins at every B = 1..128 up to 6 qubits (Q = 4, B = 64: 41 ->
+# 16; Q = 6, B = 128: 91 -> 76), is even at 7 (B = 64: 79 -> 89) and loses at 8
+_WRITTEN_OUT_QUBITS = 6
+
+
+def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacked (..., 2, 2) ``a`` and (..., 2, K) ``b``, written out
+    as c[..., i, k] = a[..., i, 0] b[..., 0, k] + a[..., i, 1] b[..., 1, k] and
+    broadcast: a stacked ``@`` runs one BLAS call per 2x2 pair, far dearer than
+    these elementwise products, whose bits do not depend on the stack."""
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     """Apply a 2x2 matrix (optionally batched over leading dims) to one qubit.
 
-    A shared (2, 2) matrix on qubit q < _FOLD_QUBITS is folded with the
-    qubits below it into kron(mat, I) and applied as one gemm on the flat
-    ``(-1, 2**(q+1))`` view; a per-row matrix is one batched matmul.  Higher
-    qubits use ``mat @ (..., 2, 2**q)``, whose inner axis is long enough.
+    A per-row matrix on a register of at most _WRITTEN_OUT_QUBITS qubits is
+    ``mul_2x2`` on the ``(..., 2**(n-q-1), 2, 2**q)`` view.  Otherwise a
+    matrix on qubit q < _FOLD_QUBITS is folded with the qubits below it into
+    kron(mat, I) and applied as one gemm on the flat ``(-1, 2**(q+1))`` view
+    (one batched matmul when per row).  Higher qubits use
+    ``mat @ (..., 2, 2**q)``, whose inner axis is long enough.
     """
     dim = 1 << num_qubits
     batch = amps.shape[:-1]
-    if qubit < _FOLD_QUBITS:
+    written_out = mat.ndim > 2 and num_qubits <= _WRITTEN_OUT_QUBITS
+    if qubit < _FOLD_QUBITS and not written_out:
         low = 1 << qubit
         width = 2 * low
         block = mat[..., :, None, :, None] * _EYES[qubit][:, None, :]
@@ -113,7 +106,8 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int)
         out = amps.reshape(rows + (width,)) @ np.swapaxes(block, -1, -2)
     else:
         a = amps.reshape(batch + (dim >> (qubit + 1), 2, 1 << qubit))
-        out = (mat if mat.ndim == 2 else mat[..., None, :, :]) @ a
+        mat = mat if mat.ndim == 2 else mat[..., None, :, :]
+        out = mul_2x2(mat, a) if written_out else mat @ a
     return out.reshape(batch + (dim,))
 
 

@@ -17,7 +17,7 @@ import pytest
 from qmtl.circuit import Circuit, evaluate, evaluate_expectations, random_circuit
 from qmtl.cli import main
 from qmtl.data import gen_synthetic
-from qmtl.gradients import finite_diff_jacobian, param_shift_jacobian
+from qmtl.gradients import finite_diff_jacobian
 from qmtl.losses import TaskSpec
 from qmtl.model import (
     Calibration,
@@ -32,7 +32,8 @@ from qmtl.model import (
 )
 from qmtl.noise import NoiseSpec, noisy_expectations
 from qmtl.presets import get_preset
-from qmtl.statevector import PauliString, gate_matrix, pauli
+from qmtl.statevector import PauliString, pauli
+from oracles import gate_matrix, param_shift_jacobian
 from test_statevector import dense_1q, dense_cnot
 
 

@@ -10,6 +10,7 @@ from qmtl.circuit import (
     Circuit,
     GateOp,
     _run,
+    _stack_mul,
     const,
     evaluate,
     evaluate_expectations,
@@ -25,10 +26,10 @@ from qmtl.gradients import adjoint_vjp
 from qmtl.statevector import (
     MAX_QUBITS,
     check_capacity,
-    gate_matrix,
     pauli,
     zero_batch,
 )
+from oracles import gate_matrix
 from test_statevector import dense_1q, dense_cnot
 
 
@@ -85,7 +86,7 @@ def test_circuit_followed_by_inverse_is_identity():
     theta = rng.uniform(0, 2 * np.pi, circuit.num_trainable)
     amps = evaluate(circuit, theta, [[]])[0]
     # apply the inverse ops in reverse order
-    from qmtl.statevector import apply_matrix, apply_cnot_array, gate_matrix
+    from qmtl.statevector import apply_matrix, apply_cnot_array
 
     for op in reversed(circuit.ops):
         if op.kind == "cnot":
@@ -327,3 +328,27 @@ def test_circuit_is_frozen_and_schedules_its_blocks_once():
     for name, value in [("ops", ()), ("num_qubits", 5), ("blocks", ())]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circuit, name, value)
+
+
+@pytest.mark.parametrize("a_rows,b_rows", [(False, False), (False, True), (True, False),
+                                           (True, True)])
+def test_stack_mul_matches_matmul_for_every_shape_pairing(a_rows, b_rows):
+    """Member-stacked rotation matrices, shared (n, 2, 2) or per row
+    (n, B, 2, 2): two shared stacks are one matmul, bit for bit; a per-row
+    operand is written out, within 1e-15 of ``a @ b``."""
+    rng = np.random.default_rng(a_rows + 2 * b_rows)
+    n, rows = 5, 7
+
+    def stack(per_row):
+        angles = rng.uniform(0, 2 * np.pi, (n, rows) if per_row else (n,))
+        return gate_matrix("rot", (angles, rng.uniform(0, 2 * np.pi), angles[::-1]))
+
+    a, b = stack(a_rows), stack(b_rows)
+    out = _stack_mul(a, b)
+    expected = ((a[:, None] if b_rows > a_rows else a)
+                @ (b[:, None] if a_rows > b_rows else b))
+    assert out.shape == expected.shape == ((n, rows, 2, 2) if a_rows or b_rows else (n, 2, 2))
+    if a_rows or b_rows:
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+    else:
+        assert np.array_equal(out, expected)

@@ -4,11 +4,21 @@ import json
 import numpy as np
 import pytest
 
+import qmtl.cli
 import qmtl.model
 import qmtl.noise
-from qmtl.cli import eval_logits, head_model_from, main, parse_experiment, task_specs_from
+from qmtl.cli import (
+    MAX_CLASSES,
+    MAX_DATA_VALUES,
+    eval_logits,
+    head_model_from,
+    main,
+    parse_experiment,
+    task_specs_from,
+)
 from qmtl.errors import ConfigError
 from qmtl.presets import PRESETS, get_preset
+from qmtl.statevector import MAX_QUBITS
 
 
 TINY_CONFIG = {
@@ -555,6 +565,41 @@ def test_bad_config_shape_fails_cleanly(tmp_path, capsys, command, fault):
     err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
     assert needle in err
     assert not (tmp_path / "run").exists()
+
+
+# sizes above a parse-time budget; each would allocate or build for minutes
+_OVERSIZED = {
+    "n_train": (lambda cfg: cfg["data"].update(n_train=10 ** 12), "n_train + n_val"),
+    "head-layers": (lambda cfg: cfg["heads"][0].update(layers=10 ** 12), "gates"),
+    "num_classes": (lambda cfg: cfg["heads"][0].update(num_classes=10 ** 12), "classes"),
+    "hqnn-qubits": (lambda cfg: cfg.update(hqnn={"qubits": 10 ** 12}), "hqnn 'qubits'"),
+}
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("fault", sorted(_OVERSIZED))
+def test_oversized_config_fails_cleanly_before_building(tmp_path, capsys, monkeypatch,
+                                                        command, fault):
+    def never(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    for name in ("build_shared_encoder", "build_hqnn_circuit"):
+        monkeypatch.setattr(qmtl.model, name, never)
+    monkeypatch.setattr(qmtl.cli, "gen_synthetic", never)
+    edit, needle = _OVERSIZED[fault]
+    err = _fails_cleanly(_broken_config_argv(tmp_path, command, edit), capsys)
+    assert "budget" in err and needle in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_size_budgets_admit_their_limits(tmp_path, capsys):
+    def at_limits(cfg):
+        cfg["data"].update(n_train=MAX_DATA_VALUES // 4 - 12, n_val=12)
+        cfg["heads"][0].update(num_classes=MAX_CLASSES)
+        cfg["hqnn"] = {"qubits": MAX_QUBITS}
+
+    assert main(_broken_config_argv(tmp_path, "params", at_limits)) == 0
+    assert "P_Q" in capsys.readouterr().out
 
 
 # optional keys, read with a default when absent, given a value of the wrong

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qmtl import circuit as circuit_module
 from qmtl import cli
-from qmtl import statevector as sv
 from qmtl.circuit import (
     FACTORS,
     Circuit,
@@ -23,9 +22,7 @@ from qmtl.gradients import (
     adjoint_reverse,
     adjoint_vjp,
     finite_diff_jacobian,
-    input_shift_jacobian_batch,
     loss_gradient,
-    param_shift_jacobian,
     param_shift_jacobian_batch,
 )
 from qmtl.errors import DegenerateBatchError
@@ -39,6 +36,7 @@ from qmtl.model import (
 )
 from qmtl.presets import PRESETS, get_preset
 from qmtl.statevector import PauliString, pauli
+from oracles import gate_matrix, input_shift_jacobian_batch, param_shift_jacobian
 
 
 def test_single_ry_closed_form():
@@ -380,7 +378,7 @@ def test_a_run_builds_one_rotation_stack_per_group_and_kind(monkeypatch, layers)
     """``run_batch`` makes one rotation-matrix build per (signature group,
     rotation kind), however deep the encoder; the reverse sweep of a loss
     gradient builds none.  Every recorded factor matrix is the bits of
-    ``sv.gate_matrix`` on its own angle."""
+    ``gate_matrix`` on its own angle."""
     model, specs, batch = _toy_problem(layers)
     circuit = model.model.circuit
     params = model.init_params(0)
@@ -406,13 +404,41 @@ def test_a_run_builds_one_rotation_stack_per_group_and_kind(monkeypatch, layers)
                 factors, circuit.plan.groups[g].factors, run.matrices[g][1], strict=True):
             assert axis == plan_axis
             if refs is None:
-                assert np.array_equal(stack[i], sv.gate_matrix(kind))
+                assert np.array_equal(stack[i], gate_matrix(kind))
                 continue
             ref = refs[i]
             angle = {"theta": lambda: theta[ref.index],
                      "input": lambda: batch.features[:, ref.index],
                      "const": lambda: ref.value}[ref.kind]()
             assert _ROTATIONS[axis] == kind
-            expected_mat = sv.gate_matrix(kind, (angle,))
+            expected_mat = gate_matrix(kind, (angle,))
             assert stack[i].shape == expected_mat.shape
             assert np.array_equal(stack[i], expected_mat)
+
+@pytest.mark.parametrize("preset", ["toy", "glue-like"])
+def test_each_row_gets_the_bits_it_gets_alone(preset):
+    """From a batch of 16 rows, each row's ``run_batch`` amplitudes and raw
+    values, its per-row ``_block_matrices`` stacks and its ``adjoint_reverse``
+    ``dinputs`` row equal that row run alone, bit for bit: on ``toy``
+    (Q = 4, the written-out ``sv.mul_2x2`` kernel) and ``glue-like`` (Q = 10,
+    the matmul kernel)."""
+    config = get_preset(preset)
+    specs = cli.task_specs_from(config)
+    train_data, _ = gen_synthetic(cli.data_spec_from(config, specs))
+    model = cli.head_model_from(config, specs).model
+    circuit, observables = model.circuit, model.observables
+    theta = model.init_params(0)[: model.num_circuit_params]
+    features = train_data.features[:16]
+    weights = np.random.default_rng(0).normal(size=(16, len(observables)))
+    run = run_batch(circuit, theta, features, observables)
+    dinputs = adjoint_reverse(circuit, run, weights)[1]
+    for b in range(16):
+        alone = run_batch(circuit, theta, features[b:b + 1], observables)
+        assert np.array_equal(run.amps[b], alone.amps[0])
+        assert np.array_equal(run.raw[b], alone.raw[0])
+        for (fused, factors), (fused_1, factors_1) in zip(run.matrices, alone.matrices,
+                                                          strict=True):
+            for stack, stack_1 in zip((fused, *factors), (fused_1, *factors_1), strict=True):
+                assert np.array_equal(stack[:, b] if stack.ndim == 4 else stack,
+                                      stack_1[:, 0] if stack_1.ndim == 4 else stack_1)
+        assert np.array_equal(dinputs[b], adjoint_reverse(circuit, alone, weights[b:b + 1])[1][0])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from qmtl.cli import parse_experiment
 from qmtl.errors import ConfigError
-from qmtl.gradients import param_shift_jacobian
 from qmtl.model import (
     Calibration,
     ClassicalHeadModel,
@@ -14,6 +14,7 @@ from qmtl.model import (
     assemble,
     build_shared_encoder,
     build_task_head,
+    count_ops,
     count_params_classical,
     count_params_quantum,
     default_readout,
@@ -21,7 +22,9 @@ from qmtl.model import (
     forward_batch,
     scaling_table,
 )
+from qmtl.presets import PRESETS, get_preset
 from qmtl.statevector import pauli
+from oracles import param_shift_jacobian
 
 
 def _three_task_config(calibration="none"):
@@ -334,3 +337,14 @@ def test_qmtl_head_model_interface():
     params = model.init_params(seed=0)
     out = model.forward_batch(params, np.zeros((2, 12)))
     assert out["gamma"].shape == (2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in PRESETS if "heads" in PRESETS[n]))
+@pytest.mark.parametrize("entangling", [False, True])
+def test_count_ops_is_the_assembled_gate_count(name, entangling):
+    config = get_preset(name)
+    config["encoder"]["entangling"] = entangling
+    for head in config["heads"]:
+        head["layers"] = 2
+    model = parse_experiment(config).model
+    assert count_ops(model) == len(assemble(model).circuit.ops)

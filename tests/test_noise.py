@@ -19,7 +19,8 @@ from qmtl.circuit import (
 )
 from qmtl.errors import CapacityError
 from qmtl.noise import NoiseSpec, engine, noisy_expectations
-from qmtl.statevector import PauliString, gate_matrix, pauli, zero_batch
+from qmtl.statevector import PauliString, pauli, zero_batch
+from oracles import gate_matrix
 
 
 def _ry_circuit():

@@ -4,21 +4,22 @@ import pytest
 from qmtl.circuit import Circuit, GateOp
 from qmtl.errors import CapacityError, GroupingError
 from qmtl.statevector import (
+    _WRITTEN_OUT_QUBITS,
     FIXED_GATES,
     PauliString,
     apply_cnot_array,
     apply_matrix,
     check_group,
     expectation_array,
-    gate_matrix,
+    mul_2x2,
     pauli,
-    rot_matrix,
     rx_matrix,
     ry_matrix,
     rz_matrix,
     sample_expectation,
     zero_batch,
 )
+from oracles import gate_matrix, rot_matrix
 
 _X = FIXED_GATES["x"]
 _Y = FIXED_GATES["y"]
@@ -125,15 +126,16 @@ def test_named_gate_matches_dense_oracle(num_qubits):
                                    atol=1e-13)
 
 
-@pytest.mark.parametrize("num_qubits", range(1, 8))
+@pytest.mark.parametrize("num_qubits", range(1, _WRITTEN_OUT_QUBITS + 3))
 def test_apply_matrix_matches_dense_oracle_on_every_qubit(num_qubits):
-    """Shared and per-row matrices, on a single state and on a batch."""
+    """Shared matrices on a single state and on a batch; per-row matrices,
+    written out up to _WRITTEN_OUT_QUBITS qubits and a matmul above, on a
+    batch of one row, of three, and of (2, 3) rows."""
     rng = np.random.default_rng(20 + num_qubits)
     dim, rows = 1 << num_qubits, 3
     for qubit in range(num_qubits):
         amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
         shared = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        per_row = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
         dense = dense_1q(shared, qubit, num_qubits)
         single = apply_matrix(amps[0], shared, qubit, num_qubits)
         assert single.shape == (dim,)
@@ -141,10 +143,24 @@ def test_apply_matrix_matches_dense_oracle_on_every_qubit(num_qubits):
         batch = apply_matrix(amps, shared, qubit, num_qubits)
         assert batch.shape == (rows, dim)
         np.testing.assert_allclose(batch, amps @ dense.T, atol=1e-12)
-        expected = np.stack([dense_1q(per_row[b], qubit, num_qubits) @ amps[b]
-                             for b in range(rows)])
-        np.testing.assert_allclose(apply_matrix(amps, per_row, qubit, num_qubits),
-                                   expected, atol=1e-12)
+        for lead in ((1,), (rows,), (2, rows)):
+            amps = rng.normal(size=lead + (dim,)) + 1j * rng.normal(size=lead + (dim,))
+            per_row = rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2))
+            expected = np.stack([dense_1q(m, qubit, num_qubits) @ a for m, a in
+                                 zip(per_row.reshape(-1, 2, 2), amps.reshape(-1, dim))])
+            out = apply_matrix(amps, per_row, qubit, num_qubits)
+            assert out.shape == amps.shape
+            np.testing.assert_allclose(out.reshape(-1, dim), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_mul_2x2_matches_matmul(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+    b = rng.normal(size=(3, 4, 2, k)) + 1j * rng.normal(size=(3, 4, 2, k))
+    np.testing.assert_allclose(mul_2x2(a, b), a @ b, rtol=0, atol=1e-15)
+    # broadcast over the leading axes, as a shared member meets a per-row one
+    np.testing.assert_allclose(mul_2x2(a[:, :1], b), a[:, :1] @ b, rtol=0, atol=1e-15)
 
 
 def test_apply_cnot_matches_dense_oracle():
