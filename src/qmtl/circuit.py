@@ -364,10 +364,7 @@ def run_batch(
     theta, features = bind(circuit, theta, features, observables)
     amps, matrices = _run(sv.zero_batch(circuit.num_qubits, len(features)), circuit, theta,
                           features)
-    raw = np.empty((len(amps), len(observables)))
-    for i, obs in enumerate(observables):
-        raw[:, i] = sv.expectation_array(amps, obs.as_dict(), circuit.num_qubits)
-    return CircuitRun(tuple(observables), raw, amps, matrices)
+    return CircuitRun(tuple(observables), sv.expectations(amps, observables), amps, matrices)
 
 
 def group_commuting(observables: Sequence[PauliString]) -> list:

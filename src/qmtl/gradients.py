@@ -11,7 +11,8 @@ a time with the recorded U^dagger, so its cost does not grow with the number
 of parameters.  Within a block the sweep carries one (B, 2, 2) cross matrix
 of the adjoint and forward states back through the block's recorded factor
 matrices, reading each angle's derivative off two of its entries; it builds
-no matrix of its own.  ``adjoint_vjp`` is the two composed, for a bare
+no matrix of its own; it starts from lambda = sum_o w_o P_o|psi>, read off
+``statevector.pauli_table``.  ``adjoint_vjp`` is the two composed, for a bare
 circuit.  The parameter-shift Jacobians (exact for Pauli rotations, and
 runnable on hardware) and central finite differences stay as oracles for
 ``qmtl gradcheck`` and the tests.  A shift Jacobian runs, per gate
@@ -188,8 +189,8 @@ def adjoint_reverse(circuit: Circuit, run: CircuitRun, weights: np.ndarray) -> t
     weights = np.asarray(weights, dtype=float)
     nq = circuit.num_qubits
     lam = np.zeros_like(psi)
-    for o, obs in enumerate(run.observables):
-        lam += weights[:, o, None] * sv.apply_pauli_string(psi, obs.as_dict(), nq)
+    for o, acted in enumerate(sv.apply_paulis(psi, run.observables)):
+        lam += weights[:, o, None] * acted
 
     dtheta = np.zeros(circuit.num_trainable)
     dinputs = np.zeros((psi.shape[0], circuit.num_inputs))

@@ -63,6 +63,9 @@ class TaskSpec:
                 raise ConfigError(
                     f"task {self.name!r}: unknown metric tag {tag!r}; expected one of {METRIC_TAGS}"
                 )
+        if "mcc" in self.metrics and self.kind != "binary" and not self.eval_binarize:
+            raise ConfigError(f"task {self.name!r}: 'mcc' scores binary predictions; it needs "
+                              f"a binary task or 'eval_binarize', not a {self.kind} one")
 
     @property
     def num_logits(self) -> int:

@@ -16,10 +16,10 @@ fidelity f (``_fidelity``).  Two engines estimate its expectations, and
   conj(U) on bit q + Q, one matmul over the contiguous bits below it, then
   the twirl in place: it scales rho by f and adds to the entries whose row
   and column bits of q agree (``_depolarize``).  Tr(P rho) of every
-  observable P comes from one gather of 2**Q entries per observable, from
-  a table worked out once per register size and observable list
-  (``_readout``).  The result does not depend on the trajectory count or
-  the seed.
+  observable P is sum_r phase_P(r) rho[r ^ flip_P, r], one gather of 2**Q
+  entries per observable from the flip/phase table that every readout
+  shares (``statevector.pauli_table``), offset by the column bits r << Q.
+  The result does not depend on the trajectory count or the seed.
 * ``"trajectories"`` otherwise: per feature row, T Monte-Carlo trajectories,
   one per row of a (T, 2**Q) amplitude array, run together through one pass
   over ``circuit.blocks``, from the same seed for every feature row.  After
@@ -65,7 +65,7 @@ class NoiseSpec:
 
 # I, X, Y, Z; a Pauli k in 1..4**n - 1 on n qubits has one base-4 digit per
 # qubit, the last qubit's lowest: on two, the pair (k >> 2, k & 3)
-_PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.PAULI_MATRICES[a] for a in "XYZ"])
+_PAULIS = np.stack([np.eye(2, dtype=complex)] + [sv.FIXED_GATES[a] for a in "xyz"])
 
 
 # rho's 4**Q amplitudes against T trajectories of 2**Q, timed per row of a
@@ -182,32 +182,6 @@ def _density_channel(circuit: Circuit, p1: float, p2: float):
     return after_block
 
 
-@functools.lru_cache(maxsize=64)
-def _readout(num_qubits: int, observables: tuple) -> tuple:
-    """``(index, phase)``, each (n_obs, 2**Q), such that Tr(P rho) = sum_r
-    phase[o, r] rho[index[o, r]] for observable o = P: the amplitude of
-    rho[r ^ flip_P, r], where flip_P has the bits of P's X and Y factors,
-    and P's entry there, a product of 1 - 2 r_q per Z factor and
-    -i (1 - 2 r_q) per Y factor."""
-    r = np.arange(1 << num_qubits)
-    index = np.empty((len(observables), len(r)), dtype=np.intp)
-    phase = np.ones((len(observables), len(r)), dtype=complex)
-    for o, obs in enumerate(observables):
-        flip = 0
-        for q, axis in obs.terms:
-            sign = 1 - 2 * ((r >> q) & 1)
-            if axis != "Z":
-                flip |= 1 << q
-            if axis == "Z":
-                phase[o] *= sign
-            elif axis == "Y":
-                phase[o] *= -1j * sign
-        index[o] = (r ^ flip) + (r << num_qubits)
-    # every call with these observables gets these arrays
-    index.flags.writeable = phase.flags.writeable = False
-    return index, phase
-
-
 def _density_matrix(
     circuit: Circuit,
     theta: np.ndarray,
@@ -221,7 +195,8 @@ def _density_matrix(
     nq = circuit.num_qubits
     channel = _density_channel(circuit, p1, p2)
     chunk = max(1, (1 << MAX_QUBITS) >> (2 * nq))
-    index, phase = _readout(nq, tuple(observables))
+    index, phase = sv.pauli_table(nq, tuple(observables))
+    index = index + (np.arange(1 << nq) << nq)  # rho[r ^ flip_P, r]
     out = np.empty((len(features), len(observables)))
     for start in range(0, len(features), chunk):
         rows = features[start:start + chunk]
@@ -273,6 +248,5 @@ def _trajectories(
     for start in range(0, noise.num_trajectories, chunk):
         amps = sv.zero_batch(nq, min(chunk, noise.num_trajectories - start))
         amps, _ = _run(amps, circuit, theta, features, after_block=hook)
-        for i, obs in enumerate(observables):
-            total[i] += sv.expectation_array(amps, obs.as_dict(), nq).sum()
+        total += [column.sum() for column in sv.expectations(amps, observables).T]
     return total / noise.num_trajectories

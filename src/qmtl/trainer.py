@@ -86,7 +86,7 @@ class TrainResult:
 
 
 def predictions_for_task(spec: TaskSpec, logits: np.ndarray):
-    """(predictions, labels_transform) pair used for metric computation."""
+    """The predictions that the task's metrics score against ``_eval_labels``."""
     if spec.kind == "binary":
         return (logits.reshape(-1) > 0).astype(int)
     if spec.kind == "regression":
@@ -139,7 +139,7 @@ def report_from_logits(logits: dict, labels_by_task: dict,
         preds = predictions_for_task(spec, logits[spec.name])
         eval_labels = _eval_labels(spec, labels)
         entry = {"loss": value, "n_labeled": n_labeled}
-        num_classes = 2 if spec.eval_binarize else spec.num_classes
+        num_classes = 2 if spec.kind == "binary" or spec.eval_binarize else spec.num_classes
         for tag in spec.metrics:
             result = compute_metric(tag, preds, eval_labels, num_classes)
             entry[tag] = result.value

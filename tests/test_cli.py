@@ -637,11 +637,18 @@ def _binarized_two_class_head(cfg):
     cfg["heads"][0].update(kind="multiclass", num_classes=2, outputs=2, eval_binarize=True)
 
 
+def _multiclass_mcc_head(cfg):
+    cfg["variant"] = "classical"
+    cfg["heads"][0].update(kind="multiclass", num_classes=3, outputs=3,
+                           metrics=["accuracy", "mcc"])
+
+
 # task values that trained to a nonsense report, diverged or crashed
 _BAD_TASK_VALUES = {
     "eval_binarize-binary": (lambda cfg: cfg["heads"][0].update(eval_binarize=True),
                              "eval_binarize"),
     "eval_binarize-2-class": (_binarized_two_class_head, "eval_binarize"),
+    "mcc-multiclass": (_multiclass_mcc_head, "'mcc' scores binary predictions"),
     "lambda-nan": (lambda cfg: cfg["heads"][0].update({"lambda": float("nan")}), "lambda"),
     "lambda-inf": (lambda cfg: cfg["heads"][0].update({"lambda": float("inf")}), "lambda"),
     "focal_gamma-negative": (lambda cfg: cfg["heads"][0].update(focal_gamma=-1), "focal_gamma"),

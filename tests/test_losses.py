@@ -136,5 +136,11 @@ def test_task_spec_validation():
         TaskSpec("t", "binary", metrics=("accuracy", "auroc"))
     with pytest.raises(ConfigError):
         TaskSpec("t", "binary", metrics=())
+    for kind, num_classes in (("multiclass", 3), ("multiclass", 2), ("regression", 2)):
+        with pytest.raises(ConfigError, match="'mcc' scores binary predictions"):
+            TaskSpec("t", kind, num_classes=num_classes, metrics=("accuracy", "mcc"))
+    assert TaskSpec("t", "binary", num_classes=3, metrics=("mcc",)).metrics == ("mcc",)
+    binarized = TaskSpec("t", "multiclass", num_classes=3, metrics=("mcc",), eval_binarize=True)
+    assert binarized.metrics == ("mcc",)
     assert TaskSpec("t", "multiclass", num_classes=3).num_logits == 3
     assert TaskSpec("t", "regression").num_logits == 1

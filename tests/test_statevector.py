@@ -9,10 +9,12 @@ from qmtl.statevector import (
     PauliString,
     apply_cnot_array,
     apply_matrix,
+    apply_paulis,
     check_group,
-    expectation_array,
+    expectations,
     mul_2x2,
     pauli,
+    pauli_table,
     rx_matrix,
     ry_matrix,
     rz_matrix,
@@ -60,7 +62,7 @@ def apply_gate(amps, kind, qubit, angles=()):
 
 
 def expectation(amps, obs):
-    return float(expectation_array(amps, obs.as_dict(), amps.shape[-1].bit_length() - 1))
+    return float(expectations(amps, [obs])[0])
 
 
 def test_zero_batch_is_the_zero_state():
@@ -214,25 +216,37 @@ def test_expectation_known_values():
 
 
 def test_expectation_matches_dense_oracle():
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        num_qubits = int(rng.integers(1, 5))
-        state = random_state(num_qubits, seed=50 + trial)
-        terms = {}
-        for q in range(num_qubits):
-            if rng.random() < 0.6:
-                terms[q] = str(rng.choice(["X", "Y", "Z"]))
-        if not terms:
-            terms[0] = "Z"
-        obs = PauliString(terms)
-        dense = np.eye(1, dtype=complex)
-        for q in range(num_qubits):
-            m = FIXED_GATES[terms[q].lower()] if q in terms else np.eye(2)
-            dense = np.kron(m, dense)
-        expected = np.real(state.conj() @ dense @ state)
-        value = expectation(state, obs)
-        assert value == pytest.approx(expected, abs=1e-13)
-        assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+    """The Pauli table's P|psi> and <psi|P|psi> against a dense Kronecker
+    product at Q = 1..6, on one state and on a (B, 2**Q) batch, for strings
+    of every axis mix that each act on the top qubit."""
+    for num_qubits in range(1, 7):
+        rng = np.random.default_rng(3 + num_qubits)
+        observables = []
+        for axes in (["Z"], ["X"], ["Y"], ["X", "Y", "Z"]):
+            terms = {q: str(rng.choice(axes)) for q in range(num_qubits - 1)
+                     if rng.random() < 0.6}
+            terms[num_qubits - 1] = str(rng.choice(axes))
+            observables.append(PauliString(terms))
+        batch = np.stack([random_state(num_qubits, seed=50 + row) for row in range(5)])
+        table = pauli_table(num_qubits, tuple(observables))
+        assert pauli_table(num_qubits, tuple(observables)) is table
+        assert not (table[0].flags.writeable or table[1].flags.writeable)
+        values = expectations(batch, observables)
+        products = list(apply_paulis(batch, observables))
+        single = list(apply_paulis(batch[0], observables))
+        assert values.shape == (5, len(observables))
+        for o, obs in enumerate(observables):
+            dense = np.eye(1, dtype=complex)
+            for q in range(num_qubits):
+                axis = obs.as_dict().get(q)
+                dense = np.kron(FIXED_GATES[axis.lower()] if axis else np.eye(2), dense)
+            acted = batch @ dense.T
+            np.testing.assert_allclose(products[o], acted, atol=1e-15)
+            np.testing.assert_allclose(single[o], acted[0], atol=1e-15)
+            expected = np.real(np.einsum("bs,bs->b", batch.conj(), acted))
+            np.testing.assert_allclose(values[:, o], expected, atol=1e-13)
+            assert expectation(batch[0], obs) == pytest.approx(expected[0], abs=1e-13)
+        assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
 def test_pauli_string_parse_and_str():

@@ -173,6 +173,17 @@ def test_report_chance_is_the_majority_class():
     assert entry["margin"] == entry["mcc"]
 
 
+def test_binary_report_does_not_read_num_classes():
+    # f1 first, so chance reads the class count too
+    logits = {"u": np.array([[1.0], [-1.0], [1.0], [1.0], [-1.0], [-1.0], [1.0], [-1.0]])}
+    labels = {"u": np.array([1, 0, 0, 1, 1, 0, 1, 0])}
+    reports = [report_from_logits(logits, labels, [TaskSpec(
+        "u", "binary", num_classes=k, metrics=("f1", "precision", "recall", "accuracy"))])
+        for k in (2, 3, 4)]
+    assert reports[0]["u"]["f1"] == 0.75
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_report_chance_of_regression_is_zero():
     spec = TaskSpec("r", "regression", metrics=("pearson",))
     labels = np.array([0.5, -1.0, 2.0, 0.25])

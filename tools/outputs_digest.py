@@ -5,10 +5,12 @@ diff the outputs.
 
 Items: per circuit preset, the assembled QMTL circuit (every op's kind,
 qubits and parameter refs) and each head's slices and observables; per head
-variant and preset, the initial parameters at seeds 0 and 3,
-``forward_batch``, ``loss_gradient`` and ``backward_batch`` (all tasks, and
-the first alone, both from the state of one ``forward_state``) on 16
-training rows; per variant a 3-epoch toy training run; ``cli.eval_logits``
+variant and preset (``toy``, ``glue-like``, ``chexpert-like`` and
+``mustard-like``, the one whose heads read 4-qubit X strings and Z pairs),
+the initial parameters at seeds 0 and 3, ``forward_batch``,
+``loss_gradient`` and ``backward_batch`` (all tasks, and the first alone,
+both from the state of one ``forward_state``) on 16 training rows; per
+variant a 3-epoch toy training run; ``cli.eval_logits``
 on 8 toy rows exact, with 4096 shots and with p1 = p2 = 0.01 depolarizing
 noise (the density-matrix engine); and on 2 glue-like rows with that noise
 over 50 trajectories (the trajectory engine).
@@ -26,6 +28,7 @@ from qmtl.presets import get_preset
 from qmtl.trainer import train
 
 VARIANTS = ("qmtl", "classical", "hqnn")
+PRESETS = ("toy", "glue-like", "chexpert-like", "mustard-like")
 ROWS = 16
 # the history fields that do not depend on wall time
 HISTORY_KEYS = ("step", "epoch", "lr", "train_loss", "monitor", "grad_norm",
@@ -60,7 +63,7 @@ def span(part: slice) -> list:
 
 
 items = {}
-for preset in ("toy", "glue-like", "chexpert-like", "mustard-like"):
+for preset in PRESETS:
     config = get_preset(preset)
     model = cli.head_model_from(config, cli.task_specs_from(config)).model
     items[f"circuit/{preset}"] = [
@@ -72,7 +75,7 @@ for preset in ("toy", "glue-like", "chexpert-like", "mustard-like"):
          for head in model.heads],
     ]
 
-for preset in ("toy", "glue-like", "chexpert-like"):
+for preset in PRESETS:
     for variant in VARIANTS:
         config, specs, model, train_data, _ = setup(preset, variant)
         x, labels = train_data.features[:ROWS], train_data.subset(np.arange(ROWS)).labels
