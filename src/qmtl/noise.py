@@ -18,7 +18,7 @@ fidelity f (``_fidelity``).  Two engines estimate its expectations, and
   and column bits of q agree (``_depolarize``).  Tr(P rho) of every
   observable P is sum_r phase_P(r) rho[r ^ flip_P, r], one gather of 2**Q
   entries per observable from the flip/phase table that every readout
-  shares (``statevector.pauli_table``), offset by the column bits r << Q.
+  shares (``statevector.pauli_table``), offset by r << Q (``_rho_table``).
   The result does not depend on the trajectory count or the seed.
 * ``"trajectories"`` otherwise: per feature row, T Monte-Carlo trajectories,
   one per row of a (T, 2**Q) amplitude array, run together through one pass
@@ -182,6 +182,15 @@ def _density_channel(circuit: Circuit, p1: float, p2: float):
     return after_block
 
 
+@functools.lru_cache(maxsize=16)
+def _rho_table(num_qubits: int, observables: tuple) -> tuple:
+    """``statevector.pauli_table`` with r << Q added to its index: rho[r ^ flip_P, r]."""
+    index, phase = sv.pauli_table(num_qubits, observables)
+    index = index + (np.arange(1 << num_qubits) << num_qubits)
+    index.flags.writeable = False
+    return index, phase
+
+
 def _density_matrix(
     circuit: Circuit,
     theta: np.ndarray,
@@ -195,8 +204,7 @@ def _density_matrix(
     nq = circuit.num_qubits
     channel = _density_channel(circuit, p1, p2)
     chunk = max(1, (1 << MAX_QUBITS) >> (2 * nq))
-    index, phase = sv.pauli_table(nq, tuple(observables))
-    index = index + (np.arange(1 << nq) << nq)  # rho[r ^ flip_P, r]
+    index, phase = _rho_table(nq, tuple(observables))
     out = np.empty((len(features), len(observables)))
     for start in range(0, len(features), chunk):
         rows = features[start:start + chunk]

@@ -178,19 +178,28 @@ def pauli(spec: str) -> PauliString:
     return PauliString(terms)
 
 
-@functools.lru_cache(maxsize=64)
-def pauli_table(num_qubits: int, observables: tuple) -> tuple:
-    """``(index, phase)``, read-only (n_obs, 2**Q) arrays cached per register
-    size and observable tuple: (P|psi>)[r] = phase[o, r] psi[index[o, r]] for
-    observable o = P, with index[o, r] = r ^ flip_P (the bits of P's X and Y
-    factors) and phase[o, r] a product of 1 - 2 r_q per Z, -i (1 - 2 r_q) per Y."""
-    r = np.arange(1 << num_qubits)
+# The most entries (n_obs * columns) a pure-state readout caches in one
+# ``pauli_table``; a wider one builds uncached blocks of one observable and this
+# many columns.  At 24 bytes an entry the 16 cached tables hold at most 96 MiB,
+# under the 256 MiB of a 2**MAX_QUBITS batch
+TABLE_ENTRIES = 1 << 18
+
+
+@functools.lru_cache(maxsize=16)
+def pauli_table(num_qubits: int, observables: tuple, start: int = 0, stop: int = 0) -> tuple:
+    """``(index, phase)``, read-only (n_obs, stop - start) arrays cached per
+    register size, observable tuple and columns r in [start, stop), stop 0
+    for 2**Q: (P|psi>)[r] = phase[o, r - start] psi[index[o, r - start]] for
+    observable o = P, with index = r ^ flip_P (the bits of P's X and Y
+    factors) and phase a product of 1 - 2 r_q per Z, -i (1 - 2 r_q) per Y.
+    The density engine's tables have 2**Q <= 128 columns."""
+    r = np.arange(start, stop or 1 << num_qubits)
     index = np.empty((len(observables), len(r)), dtype=np.intp)
     phase = np.ones((len(observables), len(r)), dtype=complex)
     for o, obs in enumerate(observables):
         for q, axis in obs.terms:
-            sign = 1 - 2 * ((r >> q) & 1)
             if axis != "X":
+                sign = 1 - 2 * ((r >> q) & 1)
                 phase[o] *= sign if axis == "Z" else -1j * sign
         index[o] = r ^ sum(1 << q for q, axis in obs.terms if axis != "Z")
     index.flags.writeable = phase.flags.writeable = False
@@ -199,11 +208,21 @@ def pauli_table(num_qubits: int, observables: tuple) -> tuple:
 
 def apply_paulis(amps: np.ndarray, observables: Sequence[PauliString]):
     """Yield P|psi> along the last axis for each observable P, exactly, from its
-    ``pauli_table`` row.  A diagonal P (flip_P = index[o, 0] = 0) gathers nothing:
-    16 ``mustard-like`` rows read out in 33 ms, 99 with every gather (2-vCPU Xeon)."""
-    index, phase = pauli_table(amps.shape[-1].bit_length() - 1, tuple(observables))
-    for o in range(len(observables)):
-        yield phase[o] * (np.take(amps, index[o], axis=-1) if index[o, 0] else amps)
+    ``pauli_table`` row, or past TABLE_ENTRIES from uncached blocks of it.  A
+    diagonal P (flip_P = index[0] = 0) gathers nothing: 16 ``mustard-like``
+    rows read out in 33 ms, 99 with every gather (2-vCPU Xeon)."""
+    nq, observables = amps.shape[-1].bit_length() - 1, tuple(observables)
+    if len(observables) << nq <= TABLE_ENTRIES:
+        for index, phase in zip(*pauli_table(nq, observables)):
+            yield phase * (np.take(amps, index, axis=-1) if index[0] else amps)
+        return
+    width = min(TABLE_ENTRIES, 1 << nq)
+    for obs in observables:
+        acted = np.empty_like(amps)
+        for start in range(0, 1 << nq, width):
+            (index,), (phase,) = pauli_table.__wrapped__(nq, (obs,), start, start + width)
+            acted[..., start:start + width] = phase * np.take(amps, index, axis=-1)
+        yield acted
 
 
 def expectations(amps: np.ndarray, observables: Sequence[PauliString]) -> np.ndarray:

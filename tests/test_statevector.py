@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmtl.circuit import Circuit, GateOp
 from qmtl.errors import CapacityError, GroupingError
+from qmtl import statevector
 from qmtl.statevector import (
     _WRITTEN_OUT_QUBITS,
     FIXED_GATES,
+    MAX_QUBITS,
+    TABLE_ENTRIES,
     PauliString,
     apply_cnot_array,
     apply_matrix,
@@ -247,6 +252,38 @@ def test_expectation_matches_dense_oracle():
             np.testing.assert_allclose(values[:, o], expected, atol=1e-13)
             assert expectation(batch[0], obs) == pytest.approx(expected[0], abs=1e-13)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
+
+
+def test_wide_readout_reads_uncached_table_blocks(monkeypatch):
+    """Past TABLE_ENTRIES a readout neither caches its table nor holds it
+    whole, and its blocks give the cached table's bits; the cache itself
+    stays under the bytes of one 2**MAX_QUBITS-amplitude batch."""
+    # 8 bytes of index and 16 of phase per entry
+    assert pauli_table.cache_info().maxsize * TABLE_ENTRIES * 24 \
+        <= (1 << MAX_QUBITS) * 16
+    observables = [pauli("Z0"), pauli("X0*Y3*Z5"), pauli("Y5"), pauli("X1*X2")]
+    batch = np.stack([random_state(6, seed=70 + row) for row in range(3)])
+    cached = expectations(batch, observables), list(apply_paulis(batch, observables))
+    monkeypatch.setattr(statevector, "TABLE_ENTRIES", 16)  # 4 blocks per observable
+    np.testing.assert_array_equal(expectations(batch, observables), cached[0])
+    for acted, expected in zip(apply_paulis(batch, observables), cached[1]):
+        np.testing.assert_array_equal(acted, expected)
+    monkeypatch.undo()
+
+    num_qubits = 20
+    observables = [PauliString({q: "Z"}) for q in range(num_qubits)] + [pauli("X0*X19")]
+    state = zero_batch(num_qubits, 1)
+    pauli_table.cache_clear()
+    tracemalloc.start()
+    try:
+        values = expectations(state, observables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(values, [[1.0] * num_qubits + [0.0]])
+    assert pauli_table.cache_info().currsize == 0
+    # the whole table alone would take 21 * 24 bytes per 16-byte amplitude
+    assert peak < 6 * state.nbytes
 
 
 def test_pauli_string_parse_and_str():
